@@ -282,6 +282,23 @@ class TestDetachedGolden:
         assert main(argv) == 0
         assert capsys.readouterr().out == golden
 
+    def test_remaining_scenarios_match_their_golden(self, capsys):
+        # The other seven scenarios drive the autoscaler, governor and
+        # SDC-screen ticks of the fleet loop; their reports are pinned
+        # byte-for-byte too (the sdc-smoke CI job cmp's the same pair).
+        golden = (
+            pathlib.Path(__file__).parent / "data" / "chaos_rest_golden.json"
+        ).read_text()
+        argv = ["chaos", "--json", "--workers", "1"]
+        for name in (
+            "rolling-ramp", "correlated-outage", "overload-storm",
+            "scale-up-race", "cap-with-device-loss",
+            "silent-corruption-storm", "defective-core-outbreak",
+        ):
+            argv += ["--scenario", name]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == golden
+
 
 class TestDeclaredInvariants:
     def test_every_scenario_declares_the_core_set(self):
