@@ -704,8 +704,8 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--routing", choices=("heap", "reference"),
                        default=None,
                        help="fleet replica-selection implementation "
-                            "(default: heap, or REPRO_FLEET_ROUTING; the "
-                            "reference path is the pinned O(N) scan — "
+                            "(default: heap; the reference path is the "
+                            "pinned O(N) scan — "
                             "reports are byte-identical either way)")
 
     fuzz = commands.add_parser(

@@ -37,8 +37,7 @@ catalogue the chaos harness enforces on top of this layer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
+from heapq import heapify, heappop, heappush
 
 from repro.core.errors import ReproRuntimeError
 from repro.faults.errors import HardwareFault
@@ -47,6 +46,13 @@ from repro.faults.schedule import FaultSchedule
 from repro.models.zoo import build
 from repro.runtime.runtime import Device
 from repro.seeding import derive_rng, derive_seed
+from repro.serving.core import (
+    Ledger,
+    SloClassStats,
+    fault_outcome,
+    retry_backoff_ns,
+    serve_requests,
+)
 from repro.serving.routing import (
     DepthView,
     PowerAwareRouter,
@@ -57,10 +63,9 @@ from repro.serving.routing import (
 )
 from repro.serving.server import (
     RasConfig,
-    SloClassStats,
     TenantConfig,
     batch_service_time_ns,
-    measure_service_time_ns,
+    measure_service_times,
 )
 from repro.serving.workload import Request
 
@@ -415,27 +420,10 @@ class FleetManager:
         self.sdc_config = sdc
         self._sdc = None
         self.service_times_ns = dict(service_times_ns or {})
-        missing = [
-            tenant for tenant in tenants
-            if tenant.name not in self.service_times_ns
-        ]
-        if missing:
-            # Independent simulations: warm the measurement memo across
-            # worker processes (bit-identical merge — repro.sim.parallel),
-            # then measure_service_time_ns below is pure cache hits.
-            from repro.sim.parallel import prewarm_measurements
-
-            prewarm_measurements(
-                (tenant.model, tenant.groups) for tenant in missing
-            )
-        for tenant in missing:
-            self.service_times_ns[tenant.name] = measure_service_time_ns(
-                tenant.model, tenant.groups
-            )
+        measure_service_times(tenants, self.service_times_ns)
         # Replica selection: "heap" (the O(log N) fast path, default) or
-        # "reference" (the pinned O(N) scans) — explicit arg wins over the
-        # REPRO_FLEET_ROUTING environment override. Both produce
-        # byte-identical reports (tests/serving/test_routing.py).
+        # "reference" (the pinned O(N) scans). Both produce byte-identical
+        # reports (tests/serving/test_routing.py).
         self.routing = resolve_routing(routing)
         self._router = make_router(self.routing)
         if self._governor is not None:
@@ -447,8 +435,12 @@ class FleetManager:
             # avoidance applied after the governor's hard exclusions.
             self._router = SdcAwareRouter(self._router)
         self._service_memo: dict[tuple[str, int], float] = {}
-        self._group_next: list[int] = []
         self._bringup_events: list[LifecycleEvent] = []
+        # Per-run state, re-created by every run().
+        self._rngs: dict[str, object] = {}
+        self._events: list[LifecycleEvent] = []
+        self._counters = _RunCounters()
+        self._class_finishes: dict[str, PrunedFinishes] = {}
         self._replicas = self._open_fleet(tenants)
 
     # -- bring-up ------------------------------------------------------------
@@ -510,20 +502,6 @@ class FleetManager:
             LifecycleEvent(0.0, replica.name, "validated", detail)
         )
 
-    # -- pool views ----------------------------------------------------------
-
-    def _active(self) -> list[_Replica]:
-        return [
-            replica for replica in self._replicas
-            if replica.status is ReplicaStatus.ACTIVE
-        ]
-
-    def _standby(self) -> _Replica | None:
-        for replica in self._replicas:
-            if replica.status is ReplicaStatus.STANDBY:
-                return replica
-        return None
-
     # -- the run -------------------------------------------------------------
 
     def run(self, trace: list[Request]) -> FleetReport:
@@ -536,17 +514,11 @@ class FleetManager:
         """
         self._reset()
         cfg = self.config
-        router = self._router
-        router.rebuild(self._replicas)
-        governor = self._governor
-        gov_next: float | None = None
-        if governor is not None:
-            governor.reset(self._replicas)
+        self._router.rebuild(self._replicas)
+        if self._governor is not None:
+            self._governor.reset(self._replicas)
             self._apply_power_signals()
-            gov_next = governor.window_ns
         self._sdc = None
-        screen_next: float | None = None
-        screen_interval: float = 0.0
         if self.sdc_config is not None:
             from repro.serving.sdc import SdcTracker
 
@@ -555,290 +527,63 @@ class FleetManager:
                 [replica.name for replica in self._replicas],
                 self.ras.transfers_per_request,
             )
-            if self.sdc_config.screen_interval_ms is not None:
-                screen_interval = self.sdc_config.screen_interval_ms * 1e6
-                screen_next = screen_interval
-        rngs = {
+        self._rngs = {
             replica.name: derive_rng(cfg.seed, "serve", replica.name)
             for replica in self._replicas
         }
-        events: list[LifecycleEvent] = list(self._bringup_events)
-        stats = {name: FleetTenantStats(tenant=name) for name in self.tenants}
-        latencies: dict[str, list[float]] = {name: [] for name in self.tenants}
-        class_latencies: dict[tuple[str, str], list[float]] = {}
-        # Bounded per-tenant / fleet-wide per-class finish times: the
-        # admission layer's queue depths and backpressure read these (the
-        # fleet is one shared pool). Maintained only when something reads
-        # them, and pruned as depth queries move forward in time.
-        finishes: dict[str, PrunedFinishes] = {
-            name: PrunedFinishes() for name in self.tenants
-        }
-        class_finishes: dict[str, PrunedFinishes] = {}
-        track_tenant_finishes = (
-            self._admission_ctl is None
-            and self.ras.queue_depth_limit is not None
-        )
-        track_class_finishes = self._admission_ctl is not None
-        counters = _RunCounters()
-        counters.min_healthy = router.active_count()
-        horizon = 0.0
-        # One vectorized pass validates the whole trace (same first error
-        # the per-request checks raised) and precomputes the per-(tenant,
-        # class) chain the coalescer walks instead of rescanning forward.
+        self._events = list(self._bringup_events)
+        self._counters = _RunCounters()
+        self._counters.min_healthy = self._router.active_count()
+        # Fleet-wide per-class finish times: the admission depths and the
+        # autoscaler's backpressure read the same queues.
+        self._class_finishes = {}
         self._validate_trace(trace)
-        self._group_next = self._group_chains(trace)
-        joined = [False] * len(trace)
-        next_tick = (
-            self._autoscaler.config.eval_interval_ms * 1e6
-            if self._autoscaler is not None
-            else None
+        ledger = Ledger(self.tenants, classes=self._admission_ctl is not None)
+        pool = _FleetPool(self, ledger)
+        serve_requests(
+            trace, pool, ledger, self.ras, self._admission_ctl,
+            self._class_finishes,
         )
-        for index, request in enumerate(trace):
-            if joined[index]:
-                continue  # coalesced into an earlier batch, accounted there
-            arrival = request.arrival_ns
-            # Governor windows, autoscaler ticks and SDC screen ticks
-            # interleave in time order (governor first on ties: caps land
-            # before the scale decision reads them; screens last). With
-            # no governor and no screener this reduces exactly to the
-            # historical autoscaler-only stepping.
-            while True:
-                due_gov = gov_next is not None and gov_next <= arrival
-                due_scale = next_tick is not None and next_tick <= arrival
-                due_screen = screen_next is not None and screen_next <= arrival
-                if (
-                    due_gov
-                    and (not due_scale or gov_next <= next_tick)
-                    and (not due_screen or gov_next <= screen_next)
-                ):
-                    self._powercap_tick(gov_next)
-                    gov_next += governor.window_ns
-                elif due_scale and (
-                    not due_screen or next_tick <= screen_next
-                ):
-                    self._autoscale_tick(
-                        next_tick, class_finishes, events, counters
-                    )
-                    next_tick += (
-                        self._autoscaler.config.eval_interval_ms * 1e6
-                    )
-                elif due_screen:
-                    self._screen_tick(screen_next, events, counters)
-                    screen_next += screen_interval
-                else:
-                    break
-            router.advance(arrival)
-            self._advance(arrival, events, counters)
-            tenant_stats = stats[request.tenant]
-            tenant_stats.offered += 1
-            active = router.active_count()
-            if active and governor is not None:
-                # Parked replicas are powered off by the cap: they sit in
-                # the routing pool but cannot take traffic, so a fully
-                # parked fleet sheds for lack of capacity like a fully
-                # quarantined one.
-                parked = governor.parked_indices()
-                if parked:
-                    active -= sum(
-                        1 for index in parked
-                        if self._replicas[index].status
-                        is ReplicaStatus.ACTIVE
-                    )
-            if not active:
-                tenant_stats.shed += 1
-                tenant_stats.shed_no_capacity += 1
-                self._note_shed(tenant_stats, request, "no-capacity")
-                continue
-            shed_reason = self._admission_shed(
-                request, finishes[request.tenant], class_finishes
+        pool.finish(ledger.horizon_ns)
+        ledger.close()
+        stats = {}
+        for name, tally in ledger.tallies.items():
+            p50, p95, p99 = tally.percentiles()
+            stats[name] = FleetTenantStats(
+                tenant=name, offered=tally.offered, served=tally.served,
+                failed=tally.failed, shed=tally.shed,
+                shed_no_capacity=tally.shed_reasons.get("no-capacity", 0),
+                hedged=tally.hedged, p50_ms=p50, p95_ms=p95, p99_ms=p99,
+                shed_reasons=tally.shed_reasons, by_class=tally.by_class,
             )
-            if shed_reason is not None:
-                tenant_stats.shed += 1
-                self._note_shed(tenant_stats, request, shed_reason)
-                continue
-            members = self._coalesce(trace, index, joined)
-            for member in members[1:]:
-                tenant_stats.offered += 1
-            finish, status, hedges = self._dispatch(
-                members, rngs, events, counters
-            )
-            if hedges:
-                tenant_stats.hedged += len(members)
-                counters.hedged_requests += len(members)
-            for member in members:
-                final = self._apply_deadline(status, member, finish)
-                latency_ms = (finish - member.arrival_ns) / 1e6
-                if final == "ok":
-                    tenant_stats.served += 1
-                    latencies[member.tenant].append(latency_ms)
-                    if self._admission_ctl is not None:
-                        class_latencies.setdefault(
-                            (member.tenant, member.slo_class), []
-                        ).append(latency_ms)
-                        self._class_stat(tenant_stats, member).served += 1
-                    if self._autoscaler is not None:
-                        self._autoscaler.observe(member.slo_class, latency_ms)
-                else:
-                    tenant_stats.failed += 1
-                    if self._admission_ctl is not None:
-                        self._class_stat(tenant_stats, member).failed += 1
-                if self._admission_ctl is not None:
-                    self._class_stat(tenant_stats, member).offered += 1
-                if track_tenant_finishes:
-                    finishes[member.tenant].push(finish)
-                if track_class_finishes:
-                    entry = class_finishes.get(member.slo_class)
-                    if entry is None:
-                        entry = class_finishes[member.slo_class] = (
-                            PrunedFinishes()
-                        )
-                    entry.push(finish)
-            horizon = max(horizon, finish)
-        if screen_next is not None:
-            # Let the screener finish sweeping the served interval, so
-            # corruption served near the end of the trace still gets its
-            # conviction (and its detection-latency sample) on record.
-            while screen_next <= horizon:
-                self._screen_tick(screen_next, events, counters)
-                screen_next += screen_interval
-        self._drain_repairs(events, counters)
-        if governor is not None:
-            # Close governor windows until every occupied interval is
-            # accounted, so the energy integral covers the whole run.
-            while gov_next - governor.window_ns < horizon:
-                self._powercap_tick(gov_next)
-                gov_next += governor.window_ns
-        for name, values in latencies.items():
-            if values:
-                array = np.asarray(values)
-                stats[name].p50_ms = float(np.percentile(array, 50))
-                stats[name].p95_ms = float(np.percentile(array, 95))
-                stats[name].p99_ms = float(np.percentile(array, 99))
-        if self._admission_ctl is not None:
-            from repro.obs.metrics import DEFAULT_BUCKETS_MS
-
-            for (tenant, slo_class), values in class_latencies.items():
-                stats[tenant].by_class[slo_class].set_percentiles(
-                    values, DEFAULT_BUCKETS_MS
-                )
-        events.sort(key=lambda event: event.time_ns)
+        self._events.sort(key=lambda event: event.time_ns)
         horizon = max(
-            [horizon] + [event.time_ns for event in events] or [0.0]
+            [ledger.horizon_ns] + [event.time_ns for event in self._events]
+            or [0.0]
         )
-        report = self._report(stats, events, counters, horizon)
+        report = self._report(stats, horizon)
         if self.obs is not None:
             self._export_obs(report)
         return report
 
     def _validate_trace(self, trace: list[Request]) -> None:
-        """Whole-trace validation in one vectorized pass.
-
-        Raises exactly what the historical per-request checks raised, at
-        the same first offending request: the arrival-order check wins
-        over the unknown-tenant check at equal index (it ran first).
-        """
-        n = len(trace)
-        if not n:
-            return
-        arrivals = np.fromiter(
-            (request.arrival_ns for request in trace),
-            dtype=np.float64, count=n,
-        )
-        previous = np.empty(n)
-        previous[0] = 0.0
-        previous[1:] = arrivals[:-1]
-        drops = np.flatnonzero(arrivals < previous)
-        bad_arrival = int(drops[0]) if drops.size else n
-        known = self.tenants
-        bad_tenant = n
-        for index in range(min(bad_arrival + 1, n)):
-            if trace[index].tenant not in known:
-                bad_tenant = index
-                break
-        if bad_arrival >= n and bad_tenant >= n:
-            return
-        if bad_arrival <= bad_tenant:
-            request = trace[bad_arrival]
-            raise ReproRuntimeError(
-                f"trace arrivals must be non-decreasing: request "
-                f"{request.request_id} at {request.arrival_ns} after "
-                f"{float(previous[bad_arrival])}"
-            )
-        request = trace[bad_tenant]
-        raise ReproRuntimeError(
-            f"request {request.request_id}: unknown tenant "
-            f"{request.tenant!r}"
-        )
-
-    @staticmethod
-    def _group_chains(trace: list[Request]) -> list[int]:
-        """``chain[i]`` = index of the next same-(tenant, class) request
-        after ``i`` (-1 at the tail) — the coalescer walks this instead
-        of rescanning every following arrival."""
-        chain = [-1] * len(trace)
-        last: dict[tuple[str, str], int] = {}
-        for index in range(len(trace) - 1, -1, -1):
-            request = trace[index]
-            key = (request.tenant, request.slo_class)
-            chain[index] = last.get(key, -1)
-            last[key] = index
-        return chain
-
-    def _class_stat(
-        self, tenant_stats: FleetTenantStats, request: Request
-    ) -> SloClassStats:
-        by_class = tenant_stats.by_class
-        if request.slo_class not in by_class:
-            by_class[request.slo_class] = SloClassStats(
-                slo_class=request.slo_class
-            )
-        return by_class[request.slo_class]
-
-    def _note_shed(
-        self, tenant_stats: FleetTenantStats, request: Request, reason: str
-    ) -> None:
-        tenant_stats.shed_reasons[reason] = (
-            tenant_stats.shed_reasons.get(reason, 0) + 1
-        )
-        if self._admission_ctl is not None:
-            entry = self._class_stat(tenant_stats, request)
-            entry.offered += 1
-            entry.record_shed(reason)
-
-    def _coalesce(
-        self, trace: list[Request], index: int, joined: list[bool]
-    ) -> list[Request]:
-        """Continuous batching: same-(tenant, class) arrivals inside the
-        coalescing window ride along with the head request.
-
-        The window is anchored at the batch's earliest possible start
-        (the least-loaded active replica's free time); joiners bypass the
-        per-arrival admission checks — they consume a batch slot that is
-        already paid for, not queue depth. A zero window (the default)
-        returns ``[head]`` and reproduces the unbatched fleet exactly.
-        """
-        head = trace[index]
-        tenant = self.tenants[head.tenant]
-        members = [head]
-        window_ns = tenant.coalesce_window_ms * 1e6
-        if window_ns <= 0 or tenant.max_batch <= 1:
-            return members
-        start = self._router.earliest_start(head.arrival_ns)
-        horizon = start + window_ns
-        # Walk the precomputed same-(tenant, class) chain: arrivals are
-        # non-decreasing, so stopping at the first chain member past the
-        # horizon visits exactly the candidates the forward scan did.
-        probe = self._group_next[index]
-        while (
-            probe != -1
-            and len(members) < tenant.max_batch
-            and trace[probe].arrival_ns <= horizon
-        ):
-            if not joined[probe]:
-                members.append(trace[probe])
-                joined[probe] = True
-            probe = self._group_next[probe]
-        return members
+        """Reject a trace the request loop cannot replay: arrivals must be
+        non-decreasing and every tenant known. The first offending request
+        raises; at one request the arrival-order check comes first."""
+        previous = 0.0
+        for request in trace:
+            if request.arrival_ns < previous:
+                raise ReproRuntimeError(
+                    f"trace arrivals must be non-decreasing: request "
+                    f"{request.request_id} at {request.arrival_ns} after "
+                    f"{float(previous)}"
+                )
+            if request.tenant not in self.tenants:
+                raise ReproRuntimeError(
+                    f"request {request.request_id}: unknown tenant "
+                    f"{request.tenant!r}"
+                )
+            previous = request.arrival_ns
 
     def _powercap_tick(self, now: float) -> None:
         """One governor window: account draw, re-apportion caps, refresh
@@ -858,24 +603,18 @@ class FleetManager:
             governor.avoid_indices(), governor.parked_indices()
         )
 
-    def _autoscale_tick(
-        self,
-        now: float,
-        class_finishes: dict[str, PrunedFinishes],
-        events: list[LifecycleEvent],
-        counters: "_RunCounters",
-    ) -> None:
+    def _autoscale_tick(self, now: float) -> None:
         """One autoscaler evaluation: promote a standby or drain an
         active replica back to standby (never below one, never past the
         devices the fleet actually opened)."""
-        self._advance(now, events, counters)
+        self._advance(now)
         scaler = self._autoscaler
         router = self._router
         n_active = router.active_count()
         backpressure = 0.0
         if self._admission_ctl is not None:
             backpressure = self._admission_ctl.backpressure(
-                DepthView(class_finishes, now)
+                DepthView(self._class_finishes, now)
             )
         power_feasible = True
         if self._governor is not None:
@@ -894,8 +633,8 @@ class FleetManager:
             spare.status = ReplicaStatus.ACTIVE
             spare.free_at = max(spare.free_at, now)
             router.update(spare)
-            counters.autoscale_ups += 1
-            events.append(
+            self._counters.autoscale_ups += 1
+            self._events.append(
                 LifecycleEvent(
                     now, spare.name, "scaled-up",
                     scaler.actions[-1].reason,
@@ -905,14 +644,14 @@ class FleetManager:
             victim = router.drain_victim()
             victim.status = ReplicaStatus.STANDBY
             router.update(victim)
-            counters.autoscale_downs += 1
-            events.append(
+            self._counters.autoscale_downs += 1
+            self._events.append(
                 LifecycleEvent(
                     now, victim.name, "scaled-down",
                     scaler.actions[-1].reason,
                 )
             )
-        counters.note_healthy(router.active_count())
+        self._counters.note_healthy(router.active_count())
 
     def _reset(self) -> None:
         """Restore bring-up roles so repeated runs are reproducible."""
@@ -936,52 +675,7 @@ class FleetManager:
 
     # -- routing + serving ---------------------------------------------------
 
-    def _admission_shed(
-        self,
-        request: Request,
-        finishes: PrunedFinishes,
-        class_finishes: dict[str, PrunedFinishes],
-    ) -> str | None:
-        """Admission control at the fleet door; returns a shed reason or
-        ``None`` to admit.
-
-        With an :class:`~repro.serving.admission.AdmissionPolicy`
-        attached, the request's SLO class gets the full treatment —
-        bounded per-class queue, deadline-aware early shedding, brownout
-        — driven by fleet-wide per-class depths. Without one, the legacy
-        flat per-tenant ``ras.queue_depth_limit`` applies.
-        """
-        now = request.arrival_ns
-        if self._admission_ctl is not None:
-            ctl = self._admission_ctl
-            depths = DepthView(class_finishes, now)
-            pressure = ctl.backpressure(depths)
-            if self._governor is not None:
-                # Sustained power throttle reads as backpressure: a capped
-                # fleet escalates brownout instead of queueing into SLO
-                # misses it cannot serve at the throttled rate.
-                pressure = max(pressure, self._governor.power_pressure())
-            ctl.update(pressure)
-            earliest = self._router.earliest_start(now)
-            decision = ctl.decide(
-                request.slo_class,
-                depths.get(request.slo_class, 0),
-                earliest - now,
-                self.service_times_ns[request.tenant],
-            )
-            return None if decision.admitted else decision.reason
-        limit = self.ras.queue_depth_limit
-        if limit is None:
-            return None
-        return "queue-full" if finishes.depth(now) >= limit else None
-
-    def _dispatch(
-        self,
-        members: list[Request],
-        rngs: dict,
-        events: list[LifecycleEvent],
-        counters: "_RunCounters",
-    ) -> tuple[float, str, int]:
+    def _dispatch(self, members: list[Request]) -> tuple[float, str, int]:
         """Serve one batch with hedged re-dispatch across replicas.
 
         Returns ``(finish_ns, status, hedges)``. A fatal outcome marks the
@@ -1006,12 +700,12 @@ class FleetManager:
                 # A prior attempt died fatally and a healthy replica is
                 # taking the batch over: that is one hedged failover.
                 hedges += 1
-                counters.failovers += 1
+                self._counters.failovers += 1
             start = max(dispatch_ns, replica.free_at)
             # Continuous batching: the launch waits for its last joiner.
             start = max(start, last_joiner_ns)
             finish, outcome, _retries, corrupted = self._attempt(
-                replica, head.tenant, start, rngs[replica.name],
+                replica, head.tenant, start, self._rngs[replica.name],
                 batch=len(members),
             )
             replica.free_at = finish
@@ -1023,19 +717,18 @@ class FleetManager:
             if self._sdc is not None:
                 # ABFT detections inside _attempt queued containment
                 # directives; apply them at the attempt's finish time.
-                self._apply_sdc_actions(finish, events, counters)
+                self._apply_sdc_actions(finish)
             if outcome == "ok":
                 if self._sdc is not None:
                     self._sdc_serve(
-                        replica, head.tenant, len(members), corrupted,
-                        finish, events, counters,
+                        replica, head.tenant, len(members), corrupted, finish
                     )
                 replica.served += len(members)
                 replica.consecutive_fatals = 0
                 return finish, "ok", hedges
             replica.fatal_outcomes += 1
             replica.consecutive_fatals += 1
-            self._maybe_quarantine(replica, finish, events, counters)
+            self._maybe_quarantine(replica, finish)
             excluded.add(replica.index)
             if hedges >= self.config.max_hedges:
                 return finish, "failed", hedges
@@ -1087,19 +780,17 @@ class FleetManager:
             transient_rate, fatal_rate = self.schedule.rates_at(
                 now, replica.index
             )
-            p_fatal = 1.0 - (1.0 - fatal_rate) ** events_per_attempt
-            p_transient = 1.0 - (1.0 - transient_rate) ** events_per_attempt
             now += service
-            if p_fatal > 0.0 and rng.random() < p_fatal:
+            outcome = fault_outcome(
+                rng, transient_rate, fatal_rate, events_per_attempt
+            )
+            if outcome == "fatal":
                 return now, "fatal", retries, False
-            if p_transient > 0.0 and rng.random() < p_transient:
+            if outcome == "transient":
                 retries += 1
                 if retries > self.ras.max_retries:
                     return now, "fatal", retries, False
-                now += (
-                    self.ras.retry_backoff_ms * 1e6
-                    * (self.ras.backoff_factor ** (retries - 1))
-                )
+                now += retry_backoff_ns(self.ras, retries)
                 continue
             corrupted = False
             if tracker is not None:
@@ -1114,33 +805,13 @@ class FleetManager:
                     retries += 1
                     if retries > self.ras.max_retries:
                         return now, "fatal", retries, False
-                    now += (
-                        self.ras.retry_backoff_ms * 1e6
-                        * (self.ras.backoff_factor ** (retries - 1))
-                    )
+                    now += retry_backoff_ns(self.ras, retries)
                     continue
             return now, "ok", retries, corrupted
 
-    def _apply_deadline(
-        self, status: str, request: Request, finish: float
-    ) -> str:
-        if (
-            status == "ok"
-            and self.ras.deadline_ms is not None
-            and (finish - request.arrival_ns) > self.ras.deadline_ms * 1e6
-        ):
-            return "failed"
-        return status
-
     # -- lifecycle -----------------------------------------------------------
 
-    def _maybe_quarantine(
-        self,
-        replica: _Replica,
-        now: float,
-        events: list[LifecycleEvent],
-        counters: "_RunCounters",
-    ) -> None:
+    def _maybe_quarantine(self, replica: _Replica, now: float) -> None:
         if (
             replica.status is not ReplicaStatus.ACTIVE
             or replica.consecutive_fatals < self.config.quarantine_threshold
@@ -1149,45 +820,31 @@ class FleetManager:
         self._quarantine(
             replica, now,
             f"{replica.consecutive_fatals} consecutive fatal outcomes",
-            events, counters,
         )
 
-    def _quarantine(
-        self,
-        replica: _Replica,
-        now: float,
-        detail: str,
-        events: list[LifecycleEvent],
-        counters: "_RunCounters",
-    ) -> None:
+    def _quarantine(self, replica: _Replica, now: float, detail: str) -> None:
         """Drain one active replica into quarantine, promoting a spare."""
         replica.status = ReplicaStatus.QUARANTINED
         replica.quarantines += 1
         replica.repair_due_ns = now + self.config.repair_ms * 1e6
         replica.repair_attempts = 0
         self._router.update(replica)
-        counters.quarantines += 1
-        events.append(
+        self._counters.quarantines += 1
+        self._events.append(
             LifecycleEvent(now, replica.name, "quarantined", detail)
         )
-        self._promote_spare(replica.name, now, events, counters)
-        counters.note_healthy(self._router.active_count())
+        self._promote_spare(replica.name, now)
+        self._counters.note_healthy(self._router.active_count())
 
-    def _promote_spare(
-        self,
-        replaced: str,
-        now: float,
-        events: list[LifecycleEvent],
-        counters: "_RunCounters",
-    ) -> None:
+    def _promote_spare(self, replaced: str, now: float) -> None:
         spare = self._router.standby()
         if spare is None:
             return
         spare.status = ReplicaStatus.ACTIVE
         spare.free_at = max(spare.free_at, now)
         self._router.update(spare)
-        counters.promotions += 1
-        events.append(
+        self._counters.promotions += 1
+        self._events.append(
             LifecycleEvent(
                 now, spare.name, "promoted",
                 f"hot spare replacing {replaced}",
@@ -1203,8 +860,6 @@ class FleetManager:
         batch: int,
         corrupted: bool,
         finish: float,
-        events: list[LifecycleEvent],
-        counters: "_RunCounters",
     ) -> None:
         """Post-serve SDC path: sampled dual-execution audit, then the
         served-corrupted ledger for anything nothing caught."""
@@ -1239,17 +894,12 @@ class FleetManager:
                             secondary.index, "audit",
                             latency_ms=(audit_finish - start) / 1e6,
                         )
-                    self._apply_sdc_actions(audit_finish, events, counters)
+                    self._apply_sdc_actions(audit_finish)
         if corrupted:
             # Nothing caught it: a wrong answer reached the client.
             tracker.note_served(replica.index, finish)
 
-    def _screen_tick(
-        self,
-        now: float,
-        events: list[LifecycleEvent],
-        counters: "_RunCounters",
-    ) -> None:
+    def _screen_tick(self, now: float) -> None:
         """One screener cadence: golden-vector launches on idle replicas.
 
         Screens only take replicas that are both in the pool (active or
@@ -1257,7 +907,7 @@ class FleetManager:
         capacity from busy boards; a screened replica is occupied for
         ``screen_cost_ms``.
         """
-        self._advance(now, events, counters)
+        self._advance(now)
         tracker = self._sdc
         cost_ns = tracker.config.screen_cost_ms * 1e6
         for replica in self._replicas:
@@ -1274,20 +924,15 @@ class FleetManager:
                 if self._governor is not None:
                     self._governor.note_busy(replica.index, now, replica.free_at)
             if detections:
-                events.append(
+                self._events.append(
                     LifecycleEvent(
                         now, replica.name, "screen_failed",
                         f"{detections} corrupted golden vector(s)",
                     )
                 )
-        self._apply_sdc_actions(now, events, counters)
+        self._apply_sdc_actions(now)
 
-    def _apply_sdc_actions(
-        self,
-        now: float,
-        events: list[LifecycleEvent],
-        counters: "_RunCounters",
-    ) -> None:
+    def _apply_sdc_actions(self, now: float) -> None:
         """Apply queued containment directives and refresh routing."""
         tracker = self._sdc
         for index, action in tracker.take_actions():
@@ -1299,47 +944,34 @@ class FleetManager:
                 replica.status = ReplicaStatus.RETIRED
                 replica.repair_due_ns = None
                 self._router.update(replica)
-                counters.retirements += 1
+                self._counters.retirements += 1
                 tracker.sdc_retirements += 1
-                events.append(
+                self._events.append(
                     LifecycleEvent(
                         now, replica.name, "retired",
                         "repeat silent-corruption offender",
                     )
                 )
                 if was_active:
-                    self._promote_spare(replica.name, now, events, counters)
-                counters.note_healthy(self._router.active_count())
+                    self._promote_spare(replica.name, now)
+                self._counters.note_healthy(self._router.active_count())
             elif action == "quarantine":
                 if replica.status is ReplicaStatus.ACTIVE:
                     tracker.sdc_quarantines += 1
-                    self._quarantine(
-                        replica, now, "silent corruption detected",
-                        events, counters,
-                    )
+                    self._quarantine(replica, now, "silent corruption detected")
         self._router.set_suspected(tracker.suspected_frozen())
 
-    def _advance(
-        self,
-        now: float,
-        events: list[LifecycleEvent],
-        counters: "_RunCounters",
-    ) -> None:
+    def _advance(self, now: float) -> None:
         """Process every repair probe due at or before ``now``."""
         router = self._router
         while True:
             replica = router.due_repair(now)
             if replica is None:
-                counters.note_healthy(router.active_count())
+                self._counters.note_healthy(router.active_count())
                 return
-            self._probe(replica, events, counters)
+            self._probe(replica)
 
-    def _probe(
-        self,
-        replica: _Replica,
-        events: list[LifecycleEvent],
-        counters: "_RunCounters",
-    ) -> None:
+    def _probe(self, replica: _Replica) -> None:
         """Seeded multi-vector repair screen on the quarantined board.
 
         Each vector is one real launch under the fault schedule's
@@ -1412,8 +1044,8 @@ class FleetManager:
         replica.repair_attempts += 1
         replica.repair_attempts_total += 1
         if ok:
-            counters.repairs += 1
-            events.append(LifecycleEvent(due, replica.name, "repaired", detail))
+            self._counters.repairs += 1
+            self._events.append(LifecycleEvent(due, replica.name, "repaired", detail))
             under_strength = self._router.active_count() < cfg.replicas
             replica.status = (
                 ReplicaStatus.ACTIVE if under_strength else ReplicaStatus.STANDBY
@@ -1423,8 +1055,8 @@ class FleetManager:
             replica.free_at = max(replica.free_at, due)
             replica.reintegrations += 1
             self._router.update(replica)
-            counters.reintegrations += 1
-            events.append(
+            self._counters.reintegrations += 1
+            self._events.append(
                 LifecycleEvent(
                     due, replica.name, "reintegrated",
                     f"rejoined as {replica.status.value}",
@@ -1437,15 +1069,15 @@ class FleetManager:
                 self._sdc.clear(replica.index)
                 self._router.set_suspected(self._sdc.suspected_frozen())
             return
-        counters.repair_failures += 1
-        events.append(
+        self._counters.repair_failures += 1
+        self._events.append(
             LifecycleEvent(due, replica.name, "repair_failed", detail)
         )
         if replica.repair_attempts >= cfg.max_repair_attempts:
             replica.status = ReplicaStatus.RETIRED
             replica.repair_due_ns = None
-            counters.retirements += 1
-            events.append(
+            self._counters.retirements += 1
+            self._events.append(
                 LifecycleEvent(
                     due, replica.name, "retired",
                     f"{replica.repair_attempts} failed repair probes",
@@ -1455,11 +1087,9 @@ class FleetManager:
             replica.repair_due_ns = due + cfg.repair_ms * 1e6
         self._router.update(replica)
         if self._sdc is not None:
-            self._apply_sdc_actions(due, events, counters)
+            self._apply_sdc_actions(due)
 
-    def _drain_repairs(
-        self, events: list[LifecycleEvent], counters: "_RunCounters"
-    ) -> None:
+    def _drain_repairs(self) -> None:
         """After the trace ends, let pending repairs run to completion so
         the report shows each quarantine's final disposition."""
         router = self._router
@@ -1467,18 +1097,15 @@ class FleetManager:
             replica = router.due_repair(None)
             if replica is None:
                 break
-            self._probe(replica, events, counters)
-        counters.note_healthy(router.active_count())
+            self._probe(replica)
+        self._counters.note_healthy(router.active_count())
 
     # -- reporting -----------------------------------------------------------
 
     def _report(
-        self,
-        stats: dict[str, FleetTenantStats],
-        events: list[LifecycleEvent],
-        counters: "_RunCounters",
-        horizon: float,
+        self, stats: dict[str, FleetTenantStats], horizon: float
     ) -> FleetReport:
+        counters = self._counters
         devices = [
             DeviceReport(
                 name=replica.name,
@@ -1512,7 +1139,7 @@ class FleetManager:
             hot_spares=self.config.hot_spares,
             tenants=stats,
             devices=devices,
-            events=events,
+            events=self._events,
             failovers=counters.failovers,
             hedged_requests=counters.hedged_requests,
             quarantines=counters.quarantines,
@@ -1772,3 +1399,129 @@ class _RunCounters:
 
     def note_healthy(self, active: int) -> None:
         self.min_healthy = min(self.min_healthy, active)
+
+
+# Tie order of the periodic fleet ticks that fall due at the same time.
+_GOVERNOR, _AUTOSCALER, _SCREEN = range(3)
+
+
+class _FleetPool:
+    """The fleet's pool for :func:`~repro.serving.core.serve_requests`:
+    the replica fleet.
+
+    Advancing to an arrival fires the periodic ticks due by then, routes
+    the clock forward and runs the repair probes due. The batch window is
+    anchored at the batch's earliest possible start (the least-loaded
+    active replica's free time); joiners bypass the per-arrival admission
+    checks — they consume a batch slot that is already paid for, not
+    queue depth. A zero window or ``max_batch <= 1`` serves every request
+    on its own.
+    """
+
+    def __init__(self, manager: FleetManager, ledger: Ledger) -> None:
+        self.manager = manager
+        self.router = manager._router
+        self.tallies = ledger.tallies
+        self.fifo = False
+        # One ordered tick list: a heap of (due, rank, interval, fire).
+        # Governor windows, autoscaler ticks and SDC screen ticks fire in
+        # time order; on equal times the rank decides: governor first
+        # (caps land before the scale decision reads them), screens last.
+        self.ticks = []
+        if manager._governor is not None:
+            window = manager._governor.window_ns
+            self.ticks.append(
+                (window, _GOVERNOR, window, manager._powercap_tick)
+            )
+        if manager._autoscaler is not None:
+            interval = manager._autoscaler.config.eval_interval_ms * 1e6
+            self.ticks.append(
+                (interval, _AUTOSCALER, interval, manager._autoscale_tick)
+            )
+        sdc = manager.sdc_config
+        if sdc is not None and sdc.screen_interval_ms is not None:
+            interval = sdc.screen_interval_ms * 1e6
+            self.ticks.append(
+                (interval, _SCREEN, interval, manager._screen_tick)
+            )
+        heapify(self.ticks)
+        self.settles = manager._autoscaler is not None
+
+    # -- the pool seam -------------------------------------------------------
+
+    def advance(self, now: float) -> None:
+        ticks = self.ticks
+        while ticks and ticks[0][0] <= now:
+            due, rank, interval, fire = heappop(ticks)
+            fire(due)
+            heappush(ticks, (due + interval, rank, interval, fire))
+        self.router.advance(now)
+        self.manager._advance(now)
+
+    def has_capacity(self) -> bool:
+        active = self.router.active_count()
+        governor = self.manager._governor
+        if active and governor is not None:
+            # Parked replicas are powered off by the cap: they sit in
+            # the routing pool but cannot take traffic, so a fully
+            # parked fleet sheds for lack of capacity like a fully
+            # quarantined one.
+            parked = governor.parked_indices()
+            if parked:
+                replicas = self.manager._replicas
+                active -= sum(
+                    1 for index in parked
+                    if replicas[index].status is ReplicaStatus.ACTIVE
+                )
+        return bool(active)
+
+    def earliest_start(self, now: float) -> float:
+        return self.router.earliest_start(now)
+
+    def admission_service_ns(self, request: Request) -> float:
+        return self.manager.service_times_ns[request.tenant]
+
+    def pressure_floor(self) -> float:
+        # Sustained power throttle reads as backpressure: a capped fleet
+        # escalates brownout instead of queueing into SLO misses it
+        # cannot serve at the throttled rate.
+        governor = self.manager._governor
+        return governor.power_pressure() if governor is not None else 0.0
+
+    def batch_window(self, head: Request) -> tuple[float, int]:
+        tenant = self.manager.tenants[head.tenant]
+        window_ns = tenant.coalesce_window_ms * 1e6
+        if window_ns <= 0 or tenant.max_batch <= 1:
+            return head.arrival_ns, 1
+        start = self.router.earliest_start(head.arrival_ns)
+        return start + window_ns, tenant.max_batch
+
+    def serve(self, batch: list[Request]) -> tuple[float, str]:
+        finish, status, hedges = self.manager._dispatch(batch)
+        if hedges:
+            self.tallies[batch[0].tenant].hedged += len(batch)
+            self.manager._counters.hedged_requests += len(batch)
+        return finish, status
+
+    def settle(
+        self, request: Request, finish: float, ok: bool, latency_ms: float
+    ) -> None:
+        if ok:
+            self.manager._autoscaler.observe(request.slo_class, latency_ms)
+
+    def finish(self, horizon: float) -> None:
+        """End-of-trace flushes around the pending repairs."""
+        for due, rank, interval, fire in self.ticks:
+            # Let the screener finish sweeping the served interval, so
+            # corruption served near the end of the trace still gets its
+            # conviction (and its detection-latency sample) on record.
+            while rank == _SCREEN and due <= horizon:
+                fire(due)
+                due += interval
+        self.manager._drain_repairs()
+        for due, rank, interval, fire in self.ticks:
+            # Close governor windows until every occupied interval is
+            # accounted, so the energy integral covers the whole run.
+            while rank == _GOVERNOR and due - interval < horizon:
+                fire(due)
+                due += interval

@@ -47,7 +47,6 @@ by the in-flight depth instead of the trace length.
 
 from __future__ import annotations
 
-import os
 from enum import Enum
 from heapq import heappop, heappush
 
@@ -59,13 +58,9 @@ __all__ = [
     "PrunedFinishes",
     "ReferenceRouter",
     "ReplicaStatus",
-    "ROUTING_ENV_VAR",
     "make_router",
     "resolve_routing",
 ]
-
-ROUTING_ENV_VAR = "REPRO_FLEET_ROUTING"
-"""Environment override for the fleet routing implementation."""
 
 _ROUTINGS = ("heap", "reference")
 
@@ -84,9 +79,9 @@ class ReplicaStatus(str, Enum):
 
 
 def resolve_routing(routing: str | None = None) -> str:
-    """Pick the routing implementation: explicit arg > env > ``"heap"``."""
+    """Pick the routing implementation: the explicit arg, else ``"heap"``."""
     if routing is None:
-        routing = os.environ.get(ROUTING_ENV_VAR) or "heap"
+        routing = "heap"
     if routing not in _ROUTINGS:
         raise ValueError(
             f"unknown fleet routing {routing!r}; expected one of {_ROUTINGS}"

@@ -60,7 +60,13 @@ from repro.models.zoo import build
 from repro.perfmodel.calibration import calibration
 from repro.runtime.runtime import Device
 from repro.seeding import derive_rng
-from repro.serving.routing import DepthView, PrunedFinishes
+from repro.serving.core import (
+    Ledger,
+    SloClassStats,
+    fault_outcome,
+    retry_backoff_ns,
+    serve_requests,
+)
 from repro.serving.workload import Request
 
 
@@ -240,74 +246,6 @@ class CompletedRequest:
 
 
 @dataclass
-class SloClassStats:
-    """Per-SLO-class request accounting (shared by server and fleet).
-
-    ``p99_ms`` is interpolated from histogram buckets via
-    :meth:`~repro.obs.metrics.HistogramSeries.quantile` — the same
-    estimator the autoscaler uses — so reports and control decisions
-    read one number.
-    """
-
-    slo_class: str
-    offered: int = 0
-    served: int = 0
-    failed: int = 0
-    shed: int = 0
-    shed_reasons: dict[str, int] = field(default_factory=dict)
-    """Shed counts by reason: ``queue-full`` / ``deadline`` / ``brownout``
-    / ``no-capacity``."""
-    p50_ms: float = 0.0
-    p95_ms: float = 0.0
-    p99_ms: float = 0.0
-
-    def record_shed(self, reason: str) -> None:
-        self.shed += 1
-        self.shed_reasons[reason] = self.shed_reasons.get(reason, 0) + 1
-
-    def shed_for(self, reason: str) -> int:
-        return self.shed_reasons.get(reason, 0)
-
-    @property
-    def availability(self) -> float:
-        """Served fraction of offered requests (1.0 on zero offered)."""
-        if self.offered == 0:
-            return 1.0
-        return self.served / self.offered
-
-    @property
-    def availability_while_healthy(self) -> float:
-        """Availability among arrivals that found >= 1 replica active."""
-        eligible = self.offered - self.shed_for("no-capacity")
-        if eligible == 0:
-            return 1.0
-        return self.served / eligible
-
-    def set_percentiles(self, latencies_ms: list[float], buckets) -> None:
-        """Fill p50/p95/p99 from bucket interpolation (0s when empty)."""
-        from repro.obs.metrics import HistogramSeries
-
-        if not latencies_ms:
-            return
-        series = HistogramSeries(tuple(buckets))
-        for value in latencies_ms:
-            series.observe(value)
-        self.p50_ms = series.quantile(0.50)
-        self.p95_ms = series.quantile(0.95)
-        self.p99_ms = series.quantile(0.99)
-
-    def to_dict(self) -> dict:
-        return {
-            "slo_class": self.slo_class, "offered": self.offered,
-            "served": self.served, "failed": self.failed, "shed": self.shed,
-            "shed_reasons": dict(sorted(self.shed_reasons.items())),
-            "p50_ms": self.p50_ms, "p95_ms": self.p95_ms,
-            "p99_ms": self.p99_ms,
-            "availability": self.availability,
-        }
-
-
-@dataclass
 class TenantReport:
     """Serving statistics for one tenant over a run."""
 
@@ -418,6 +356,34 @@ def measure_service_time_ns(
     return result.latency_ns
 
 
+def measure_service_times(
+    tenants: list[TenantConfig],
+    times: dict[str, float],
+    obs=None,
+    fault_plan: FaultPlan | None = None,
+) -> set[str]:
+    """Fill ``times`` in place with a measured service time for every
+    tenant it lacks; returns the names of the tenants measured.
+
+    Plain measurements (no hub, no fault plan) are memoizable, hence
+    independent simulations: the memo is warmed across worker processes
+    first (bit-identical to serial — see :mod:`repro.sim.parallel`), so
+    the measurements below are pure cache hits.
+    """
+    missing = [tenant for tenant in tenants if tenant.name not in times]
+    if obs is None and fault_plan is None:
+        from repro.sim.parallel import prewarm_measurements
+
+        prewarm_measurements(
+            (tenant.model, tenant.groups) for tenant in missing
+        )
+    for tenant in missing:
+        times[tenant.name] = measure_service_time_ns(
+            tenant.model, tenant.groups, obs=obs, fault_plan=fault_plan
+        )
+    return {tenant.name for tenant in missing}
+
+
 _BATCH_SCALE_CACHE: dict[int, float] = {}
 
 
@@ -476,29 +442,10 @@ class InferenceServer:
         # Tenants whose base time we measured on the detailed simulator get
         # degraded-slice times measured (calibrated) too; user-provided
         # times fall back to linear scaling unless overridden explicitly.
-        self._measured = {
-            tenant.name
-            for tenant in tenants
-            if tenant.name not in self.service_times_ns
-        }
-        if obs is None and measurement_fault_plan is None:
-            # Plain measurements are memoizable, hence independent
-            # simulations: warm the memo across worker processes first
-            # (bit-identical to serial — see repro.sim.parallel), then
-            # the loop below is pure cache hits.
-            from repro.sim.parallel import prewarm_measurements
-
-            prewarm_measurements(
-                (tenant.model, tenant.groups)
-                for tenant in tenants
-                if tenant.name not in self.service_times_ns
-            )
-        for tenant in tenants:
-            if tenant.name not in self.service_times_ns:
-                self.service_times_ns[tenant.name] = measure_service_time_ns(
-                    tenant.model, tenant.groups,
-                    obs=obs, fault_plan=measurement_fault_plan,
-                )
+        self._measured = measure_service_times(
+            tenants, self.service_times_ns,
+            obs=obs, fault_plan=measurement_fault_plan,
+        )
         self._degraded_times: dict[tuple[str, int], float] = dict(
             degraded_service_times_ns or {}
         )
@@ -538,66 +485,6 @@ class InferenceServer:
                 self._degraded_times[key] = base * tenant.groups / groups
         return self._degraded_times[key]
 
-    # -- fault draws -----------------------------------------------------------
-
-    def _attempt_outcome(self, rng: random.Random, batch: int) -> str:
-        """Outcome of one service attempt: 'ok', 'transient' or 'fatal'."""
-        plan = self.fault_plan
-        events = self.ras.transfers_per_request * batch
-        p_fatal = 1.0 - (1.0 - plan.fatal_event_rate) ** events
-        p_transient = 1.0 - (1.0 - plan.transient_event_rate) ** events
-        if p_fatal > 0.0 and rng.random() < p_fatal:
-            return "fatal"
-        if p_transient > 0.0 and rng.random() < p_transient:
-            return "transient"
-        return "ok"
-
-    def _serve_batch(
-        self,
-        batch_size: int,
-        start_ns: float,
-        base_ns: float,
-        health: TenantHealth,
-        rng: random.Random,
-    ) -> tuple[float, str, int]:
-        """Serve one batch with RAS retries; returns (finish, status, retries).
-
-        Each attempt pays the full batch service time; transient faults
-        add exponential backoff then replay, fatal faults fail the batch
-        and feed the circuit breaker.
-        """
-        service = batch_service_time_ns(base_ns, batch_size)
-        now = start_ns
-        retries = 0
-        while True:
-            now += service
-            if not self._injecting:
-                return now, "ok", retries
-            outcome = self._attempt_outcome(rng, batch_size)
-            if outcome == "ok":
-                health.record_success()
-                return now, "ok", retries
-            if outcome == "fatal":
-                health.record_failure(rng.randrange(health.available))
-                return now, "failed", retries
-            retries += 1
-            if retries > self.ras.max_retries:
-                return now, "failed", retries
-            now += (
-                self.ras.retry_backoff_ms * 1e6
-                * (self.ras.backoff_factor ** (retries - 1))
-            )
-
-    def _final_status(self, status: str, request: Request, finish: float) -> str:
-        """Apply the per-request deadline: late completions count failed."""
-        if (
-            status == "ok"
-            and self.ras.deadline_ms is not None
-            and (finish - request.arrival_ns) > self.ras.deadline_ms * 1e6
-        ):
-            return "failed"
-        return status
-
     # -- simulation ----------------------------------------------------------
 
     def run(self, trace: list[Request]) -> dict[str, TenantReport]:
@@ -612,21 +499,33 @@ class InferenceServer:
         produce identical reports (per-run RNGs are re-seeded from the
         plan seed on every call).
         """
-        if self._admission_ctl is not None:
-            self._admission_ctl.reset()
-        if self.isolated:
-            completed: list[CompletedRequest] = []
-            shed: list[tuple[Request, str]] = []
-            for name in self.tenants:
-                tenant_trace = [r for r in trace if r.tenant == name]
-                done, dropped = self._run_single_queue(tenant_trace, name)
-                completed.extend(done)
-                shed.extend(dropped)
-        else:
-            completed, shed = self._run_shared_queue(trace)
-        reports = self._report(completed, trace, shed)
+        ctl = self._admission_ctl
+        if ctl is not None:
+            ctl.reset()
+        ledger = Ledger(self.tenants, classes=ctl is not None)
+        records: list[CompletedRequest] | None = None
         if self.obs is not None:
-            self._emit_observability(completed, shed, reports)
+            records = []
+            ledger.shed_log = []
+        # Isolated mode replays one queue per tenant slice, one after
+        # another. The admission controller is shared and not reset
+        # between them, so a later slice starts at the brownout level the
+        # previous one ended on (docs/serving.md).
+        queues = (
+            [([name], [r for r in trace if r.tenant == name], name)
+             for name in self.tenants]
+            if self.isolated else [(list(self.tenants), trace, "shared")]
+        )
+        for names, queue, label in queues:
+            pool = _SlicePool(
+                self, ledger, names, self._rng(label),
+                fifo=self.isolated, records=records,
+            )
+            serve_requests(queue, pool, ledger, self.ras, ctl)
+        ledger.close()
+        reports = self._report(ledger, trace)
+        if self.obs is not None:
+            self._emit_observability(records, ledger.shed_log, reports)
         return reports
 
     # -- observability bridge -------------------------------------------------
@@ -767,316 +666,157 @@ class InferenceServer:
             min_groups=self.ras.min_groups,
         )
 
-    def _shed_at_arrival(
-        self, request: Request, finishes: PrunedFinishes
-    ) -> bool:
-        """Admission control: is the queue too deep at this arrival?
-
-        ``finishes`` holds the finish times of this tenant's scheduled
-        requests still beyond a past arrival — entries the pruned
-        structure has not yet dropped are requests queued or in service.
-        """
-        limit = self.ras.queue_depth_limit
-        if limit is None:
-            return False
-        return finishes.depth(request.arrival_ns) >= limit
-
-    def _admission_decision(
-        self,
-        head: Request,
-        free_at: float,
-        class_finishes: dict[str, PrunedFinishes],
-        service_ns: float,
-    ):
-        """Class-aware admission for one arrival (policy attached only).
-
-        The brownout level steps on every arrival from the backpressure
-        signal (worst per-class queue fullness), then the class's bounded
-        queue and deadline check decide the request's fate.
-        """
-        ctl = self._admission_ctl
-        now = head.arrival_ns
-        depths = DepthView(class_finishes, now)
-        ctl.update(ctl.backpressure(depths))
-        predicted_wait = max(0.0, free_at - now)
-        return ctl.decide(
-            head.slo_class, depths.get(head.slo_class, 0),
-            predicted_wait, service_ns,
-        )
-
-    def _collect_batch(
-        self,
-        trace: list[Request],
-        index: int,
-        start: float,
-        tenant: TenantConfig,
-        served: list[bool] | None = None,
-    ) -> tuple[list[Request], int]:
-        """Dynamic + continuous batching from ``trace[index]`` onward.
-
-        Requests already waiting at ``start`` join as before; with a
-        ``coalesce_window_ms`` the batch stays open for late arrivals up
-        to ``start + window`` (continuous batching) — still capped at
-        ``max_batch`` and, when SLO classes are in play, restricted to
-        the head's class so one slow batch-class batch never captures an
-        interactive request. Returns the batch and the next probe index
-        (single-queue mode); shared mode passes ``served`` flags instead
-        and ignores the probe index.
-        """
-        head = trace[index]
-        window_ns = tenant.coalesce_window_ms * 1e6
-        horizon = start + window_ns
-        batch = [head]
-        probe = index + 1
-        while (
-            probe < len(trace)
-            and len(batch) < tenant.max_batch
-            and trace[probe].arrival_ns <= horizon
-        ):
-            candidate = trace[probe]
-            eligible = (
-                candidate.tenant == head.tenant
-                and candidate.slo_class == head.slo_class
-                and (served is None or not served[probe])
-            )
-            if eligible:
-                batch.append(candidate)
-                if served is not None:
-                    served[probe] = True
-            elif served is None:
-                # Single-queue mode is FIFO per tenant: a non-matching
-                # request closes the batch (it must be served next).
-                break
-            probe += 1
-        return batch, probe
-
-    def _run_single_queue(
-        self, trace: list[Request], tenant_name: str
-    ) -> tuple[list[CompletedRequest], list[tuple[Request, str]]]:
-        tenant = self.tenants[tenant_name]
-        rng = self._rng(tenant_name)
-        health = self._health(tenant)
-        completed: list[CompletedRequest] = []
-        shed: list[tuple[Request, str]] = []
-        # Bounded depth tracking: maintained only for the admission path
-        # that actually reads it, pruned as arrivals move forward.
-        finishes = PrunedFinishes()
-        class_finishes: dict[str, PrunedFinishes] = {}
-        track_finishes = (
-            self._admission_ctl is None
-            and self.ras.queue_depth_limit is not None
-        )
-        track_classes = self._admission_ctl is not None
-        free_at = 0.0
-        index = 0
-        while index < len(trace):
-            head = trace[index]
-            if self._admission_ctl is not None:
-                base = self._service_time(tenant_name, health.available)
-                decision = self._admission_decision(
-                    head, free_at, class_finishes,
-                    batch_service_time_ns(base, 1),
-                )
-                if not decision.admitted:
-                    shed.append((head, decision.reason))
-                    index += 1
-                    continue
-            elif self._shed_at_arrival(head, finishes):
-                shed.append((head, "queue-full"))
-                index += 1
-                continue
-            start = max(head.arrival_ns, free_at)
-            batch, probe = self._collect_batch(trace, index, start, tenant)
-            # Continuous batching: the launch waits for its last joiner.
-            start = max(start, batch[-1].arrival_ns)
-            base = self._service_time(tenant_name, health.available)
-            degraded = health.degraded
-            finish, status, retries = self._serve_batch(
-                len(batch), start, base, health, rng
-            )
-            for request in batch:
-                completed.append(
-                    CompletedRequest(
-                        request=request, start_ns=start, finish_ns=finish,
-                        batch_size=len(batch),
-                        status=self._final_status(status, request, finish),
-                        retries=retries, degraded=degraded,
-                    )
-                )
-                if track_classes:
-                    entry = class_finishes.get(request.slo_class)
-                    if entry is None:
-                        entry = class_finishes[request.slo_class] = (
-                            PrunedFinishes()
-                        )
-                    entry.push(finish)
-                if track_finishes:
-                    finishes.push(finish)
-            free_at = finish
-            index = probe
-        return completed, shed
-
-    def _run_shared_queue(
-        self, trace: list[Request]
-    ) -> tuple[list[CompletedRequest], list[tuple[Request, str]]]:
-        rng = self._rng("shared")
-        healths = {
-            name: self._health(tenant) for name, tenant in self.tenants.items()
-        }
-        finishes: dict[str, PrunedFinishes] = {
-            name: PrunedFinishes() for name in self.tenants
-        }
-        # One shared queue → class depths aggregate across tenants.
-        class_finishes: dict[str, PrunedFinishes] = {}
-        track_finishes = (
-            self._admission_ctl is None
-            and self.ras.queue_depth_limit is not None
-        )
-        track_classes = self._admission_ctl is not None
-        completed: list[CompletedRequest] = []
-        shed: list[tuple[Request, str]] = []
-        served = [False] * len(trace)
-        free_at = 0.0
-        for index, head in enumerate(trace):
-            if served[index]:
-                continue
-            served[index] = True
-            tenant = self.tenants[head.tenant]
-            health = healths[head.tenant]
-            if self._admission_ctl is not None:
-                base = self._service_time(head.tenant, health.available)
-                decision = self._admission_decision(
-                    head, free_at, class_finishes,
-                    batch_service_time_ns(base, 1),
-                )
-                if not decision.admitted:
-                    shed.append((head, decision.reason))
-                    continue
-            elif self._shed_at_arrival(head, finishes[head.tenant]):
-                shed.append((head, "queue-full"))
-                continue
-            start = max(head.arrival_ns, free_at)
-            # Same-tenant requests already waiting coalesce into the batch
-            # (other tenants' requests keep their place in the FIFO).
-            batch, _ = self._collect_batch(trace, index, start, tenant, served)
-            start = max(start, batch[-1].arrival_ns)
-            base = self._service_time(head.tenant, health.available)
-            degraded = health.degraded
-            finish, status, retries = self._serve_batch(
-                len(batch), start, base, health, rng
-            )
-            for request in batch:
-                completed.append(
-                    CompletedRequest(
-                        request=request, start_ns=start, finish_ns=finish,
-                        batch_size=len(batch),
-                        status=self._final_status(status, request, finish),
-                        retries=retries, degraded=degraded,
-                    )
-                )
-                if track_classes:
-                    entry = class_finishes.get(request.slo_class)
-                    if entry is None:
-                        entry = class_finishes[request.slo_class] = (
-                            PrunedFinishes()
-                        )
-                    entry.push(finish)
-                if track_finishes:
-                    finishes[head.tenant].push(finish)
-            free_at = finish
-        return completed, shed
-
-    # -- reporting ----------------------------------------------------------
-
-    def _class_stats(
-        self,
-        mine: list[CompletedRequest],
-        my_shed: list[tuple[Request, str]],
-    ) -> dict[str, SloClassStats]:
-        """Per-SLO-class breakdown for one tenant (empty without classes)."""
-        if self._admission_ctl is None:
-            return {}
-        from repro.obs.metrics import DEFAULT_BUCKETS_MS
-
-        stats: dict[str, SloClassStats] = {}
-
-        def stat(slo_class: str) -> SloClassStats:
-            if slo_class not in stats:
-                stats[slo_class] = SloClassStats(slo_class=slo_class)
-            return stats[slo_class]
-
-        latencies: dict[str, list[float]] = {}
-        for done in mine:
-            entry = stat(done.request.slo_class)
-            entry.offered += 1
-            if done.ok:
-                entry.served += 1
-                latencies.setdefault(done.request.slo_class, []).append(
-                    done.latency_ms
-                )
-            else:
-                entry.failed += 1
-        for request, reason in my_shed:
-            entry = stat(request.slo_class)
-            entry.offered += 1
-            entry.record_shed(reason)
-        for slo_class, values in latencies.items():
-            stats[slo_class].set_percentiles(values, DEFAULT_BUCKETS_MS)
-        return dict(sorted(stats.items()))
-
     def _report(
-        self,
-        completed: list[CompletedRequest],
-        trace: list[Request],
-        shed: list[tuple[Request, str]] | None = None,
+        self, ledger: Ledger, trace: list[Request]
     ) -> dict[str, TenantReport]:
-        shed = shed or []
         # Throughput horizon: the run lasts until the last completion, not
         # the last arrival (which overstates throughput for bursty traces).
-        horizon_ns = max((c.finish_ns for c in completed), default=0.0)
+        horizon_ns = ledger.horizon_ns
         if horizon_ns <= 0.0:
             horizon_ns = max((r.arrival_ns for r in trace), default=0.0) or 1.0
         reports = {}
         for name, tenant in self.tenants.items():
-            mine = [c for c in completed if c.request.tenant == name]
-            ok = [c for c in mine if c.ok]
-            failed = len(mine) - len(ok)
-            retried = sum(1 for c in mine if c.retries > 0)
-            degraded = sum(1 for c in mine if c.degraded)
-            my_shed = [(r, reason) for r, reason in shed if r.tenant == name]
-            shed_reasons: dict[str, int] = {}
-            for _, reason in my_shed:
-                shed_reasons[reason] = shed_reasons.get(reason, 0) + 1
-            by_class = self._class_stats(mine, my_shed)
-            latencies = np.asarray([c.latency_ms for c in ok])
-            if latencies.size == 0:
-                reports[name] = TenantReport(
-                    tenant=name, completed=0, throughput_per_s=0.0,
-                    p50_ms=0.0, p95_ms=0.0, p99_ms=0.0, mean_batch=0.0,
-                    sla_ms=tenant.sla_ms, sla_violations=0,
-                    failed=failed, retried=retried, shed=len(my_shed),
-                    degraded=degraded, shed_reasons=shed_reasons,
-                    by_class=by_class,
-                )
-                continue
+            tally = ledger.tallies[name]
+            p50, p95, p99 = tally.percentiles()
             violations = 0
             if tenant.sla_ms is not None:
-                violations = int((latencies > tenant.sla_ms).sum())
+                violations = int(
+                    (np.asarray(tally.latencies_ms) > tenant.sla_ms).sum()
+                )
             reports[name] = TenantReport(
                 tenant=name,
-                completed=len(ok),
-                throughput_per_s=len(ok) * 1e9 / horizon_ns,
-                p50_ms=float(np.percentile(latencies, 50)),
-                p95_ms=float(np.percentile(latencies, 95)),
-                p99_ms=float(np.percentile(latencies, 99)),
-                mean_batch=float(np.mean([c.batch_size for c in ok])),
+                completed=tally.served,
+                throughput_per_s=tally.served * 1e9 / horizon_ns,
+                p50_ms=p50,
+                p95_ms=p95,
+                p99_ms=p99,
+                mean_batch=(
+                    tally.batched / tally.served if tally.served else 0.0
+                ),
                 sla_ms=tenant.sla_ms,
                 sla_violations=violations,
-                failed=failed,
-                retried=retried,
-                shed=len(my_shed),
-                degraded=degraded,
-                shed_reasons=shed_reasons,
-                by_class=by_class,
+                failed=tally.failed,
+                retried=tally.retried,
+                shed=tally.shed,
+                degraded=tally.degraded,
+                shed_reasons=tally.shed_reasons,
+                by_class=dict(sorted(tally.by_class.items())),
             )
         return reports
+
+
+class _SlicePool:
+    """The server's pool for :func:`~repro.serving.core.serve_requests`:
+    one tenant's group slice (isolated mode) or the whole chip shared by
+    every tenant (shared mode) — a single slot that serves one batch at a
+    time.
+
+    The batch window opens when the slot frees, so requests already
+    waiting join even with a zero coalescing window; with a window the
+    batch stays open for arrivals up to ``window`` past that start. A
+    request of another tenant or class closes the batch when ``fifo`` (an
+    isolated slice serves its queue in order) and keeps its place in the
+    chip-wide queue otherwise (shared mode).
+    """
+
+    def __init__(
+        self,
+        server: InferenceServer,
+        ledger: Ledger,
+        tenants: list[str],
+        rng: random.Random,
+        fifo: bool,
+        records: list[CompletedRequest] | None,
+    ) -> None:
+        self.server = server
+        self.tallies = ledger.tallies
+        self.healths = {
+            name: server._health(server.tenants[name]) for name in tenants
+        }
+        self.rng = rng
+        self.fifo = fifo
+        self.records = records
+        self.free_at = 0.0
+        self._served = (0.0, 0, 0, False)
+        """(start, size, retries, degraded) of the batch just served."""
+        self.settles = records is not None
+
+    def advance(self, now: float) -> None:
+        pass
+
+    def has_capacity(self) -> bool:
+        return True
+
+    def earliest_start(self, now: float) -> float:
+        return max(now, self.free_at)
+
+    def admission_service_ns(self, request: Request) -> float:
+        available = self.healths[request.tenant].available
+        base = self.server._service_time(request.tenant, available)
+        return batch_service_time_ns(base, 1)
+
+    def pressure_floor(self) -> float:
+        return 0.0
+
+    def batch_window(self, head: Request) -> tuple[float, int]:
+        tenant = self.server.tenants[head.tenant]
+        start = max(head.arrival_ns, self.free_at)
+        return start + tenant.coalesce_window_ms * 1e6, tenant.max_batch
+
+    def serve(self, batch: list[Request]) -> tuple[float, str]:
+        """Serve one batch with RAS retries.
+
+        Each attempt pays the full batch service time; transient faults
+        add exponential backoff then replay, fatal faults fail the batch
+        and feed the circuit breaker.
+        """
+        server = self.server
+        head = batch[0]
+        # Continuous batching: the launch waits for its last joiner.
+        start = max(head.arrival_ns, self.free_at, batch[-1].arrival_ns)
+        health = self.healths[head.tenant]
+        base = server._service_time(head.tenant, health.available)
+        degraded = health.degraded
+        service = batch_service_time_ns(base, len(batch))
+        finish, status, retries = start, "ok", 0
+        while True:
+            finish += service
+            if not server._injecting:
+                break
+            plan = server.fault_plan
+            outcome = fault_outcome(
+                self.rng, plan.transient_event_rate, plan.fatal_event_rate,
+                server.ras.transfers_per_request * len(batch),
+            )
+            if outcome == "ok":
+                health.record_success()
+                break
+            if outcome == "fatal":
+                health.record_failure(self.rng.randrange(health.available))
+                status = "failed"
+                break
+            retries += 1
+            if retries > server.ras.max_retries:
+                status = "failed"
+                break
+            finish += retry_backoff_ns(server.ras, retries)
+        tally = self.tallies[head.tenant]
+        if retries:
+            tally.retried += len(batch)
+        if degraded:
+            tally.degraded += len(batch)
+        self._served = (start, len(batch), retries, degraded)
+        self.free_at = finish
+        return finish, status
+
+    def settle(
+        self, request: Request, finish: float, ok: bool, latency_ms: float
+    ) -> None:
+        start, size, retries, degraded = self._served
+        self.records.append(
+            CompletedRequest(
+                request=request, start_ns=start, finish_ns=finish,
+                batch_size=size, status="ok" if ok else "failed",
+                retries=retries, degraded=degraded,
+            )
+        )

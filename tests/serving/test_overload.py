@@ -17,6 +17,7 @@ from repro.serving import (
     InferenceServer,
     LoadSpec,
     RasConfig,
+    Request,
     SloClass,
     TenantConfig,
     generate_load,
@@ -225,6 +226,39 @@ class TestServerAdmission:
         shed_total = obs.metrics.get("serving_shed_total")
         assert shed_total is not None
         assert shed_total.total() == reports["app"].shed
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="isolated mode replays the tenant queues one after another "
+        "through one AdmissionController, so a later slice starts at the "
+        "brownout level the previous slice ended on (docs/serving.md)",
+    )
+    def test_each_isolated_slice_starts_at_brownout_level_zero(
+        self, monkeypatch
+    ):
+        import repro.serving.server as server_module
+
+        start_levels = []
+        serve = server_module.serve_requests
+
+        def spy(trace, pool, ledger, ras, admission=None, *args):
+            start_levels.append(admission.brownout_level)
+            return serve(trace, pool, ledger, ras, admission, *args)
+
+        monkeypatch.setattr(server_module, "serve_requests", spy)
+        overload = _overload_trace(duration=0.3)
+        quiet = [
+            Request(len(overload) + i, "quiet", arrival_ns=i * 5.0e6)
+            for i in range(20)
+        ]
+        trace = sorted(overload + quiet, key=lambda r: r.arrival_ns)
+        InferenceServer(
+            _tenants() + [TenantConfig("quiet", "unet", groups=1)],
+            service_times_ns={"app": SERVICE_NS, "quiet": SERVICE_NS},
+            admission=ADMISSION,
+        ).run(trace)
+        assert len(start_levels) == 2
+        assert start_levels == [0, 0]
 
 
 class TestReportGuards:

@@ -26,7 +26,6 @@ import pytest
 
 from repro.chaos import SCENARIOS, run_scenario
 from repro.serving.routing import (
-    ROUTING_ENV_VAR,
     DepthView,
     HeapRouter,
     PrunedFinishes,
@@ -74,27 +73,18 @@ def _assert_same_pick(heap, reference, now, excluded=frozenset()):
 # ---------------------------------------------------------------------------
 
 
-def test_resolve_routing_precedence(monkeypatch):
-    monkeypatch.delenv(ROUTING_ENV_VAR, raising=False)
+def test_resolve_routing_precedence():
     assert resolve_routing() == "heap"
-    monkeypatch.setenv(ROUTING_ENV_VAR, "reference")
-    assert resolve_routing() == "reference"
-    # explicit argument beats the environment
+    assert resolve_routing("reference") == "reference"
     assert resolve_routing("heap") == "heap"
-    monkeypatch.setenv(ROUTING_ENV_VAR, "")
-    assert resolve_routing() == "heap"
 
 
-def test_resolve_routing_rejects_unknown(monkeypatch):
+def test_resolve_routing_rejects_unknown():
     with pytest.raises(ValueError, match="unknown fleet routing"):
         resolve_routing("quantum")
-    monkeypatch.setenv(ROUTING_ENV_VAR, "bogus")
-    with pytest.raises(ValueError, match="bogus"):
-        resolve_routing()
 
 
-def test_make_router_returns_selected_implementation(monkeypatch):
-    monkeypatch.delenv(ROUTING_ENV_VAR, raising=False)
+def test_make_router_returns_selected_implementation():
     assert isinstance(make_router(), HeapRouter)
     assert isinstance(make_router("reference"), ReferenceRouter)
 
@@ -308,19 +298,18 @@ def test_chaos_scenario_reports_byte_identical(scenario):
     assert _suite_json(scenario, "heap") == _suite_json(scenario, "reference")
 
 
-def test_fleet_env_var_selects_reference(monkeypatch):
+def test_fleet_routing_arg_selects_reference():
     from repro.serving.fleet import FleetConfig, FleetManager
     from repro.serving.server import TenantConfig
 
-    monkeypatch.setenv(ROUTING_ENV_VAR, "reference")
     fleet = FleetManager(
         [TenantConfig("a", "resnet50", groups=1)],
         config=FleetConfig(replicas=1, validate_on_open=False),
         service_times_ns={"a": 1.0e6},
+        routing="reference",
     )
     assert fleet.routing == "reference"
     assert isinstance(fleet._router, ReferenceRouter)
-    monkeypatch.delenv(ROUTING_ENV_VAR)
     assert FleetManager(
         [TenantConfig("a", "resnet50", groups=1)],
         config=FleetConfig(replicas=1, validate_on_open=False),

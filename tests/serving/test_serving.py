@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.obs import Observability
 from repro.serving import (
     InferenceServer,
     Request,
@@ -22,10 +23,28 @@ def _tenants(max_batch_a=1, sla_a=None):
     ]
 
 
-def _server(isolated=True, **kwargs):
+def _server(isolated=True, obs=None, **kwargs):
     return InferenceServer(
-        _tenants(**kwargs), isolated=isolated, service_times_ns=dict(SERVICE)
+        _tenants(**kwargs), isolated=isolated, service_times_ns=dict(SERVICE),
+        obs=obs,
     )
+
+
+def _run_with_records(server, obs, trace):
+    """Run ``server`` (built with ``obs``); returns its reports and one
+    ``(arrival_ns, start_ns, finish_ns, batch_size)`` per completed
+    request, read back from the request spans the run exports."""
+    reports = server.run(trace)
+    roots = {
+        span.span_id: span for span in obs.tracer.spans
+        if span.name.startswith("request:")
+    }
+    records = [
+        (roots[span.parent_id].start_ns, span.start_ns, span.end_ns,
+         span.args["batch"])
+        for span in obs.tracer.spans if span.name == "service"
+    ]
+    return reports, records
 
 
 class TestWorkload:
@@ -140,9 +159,10 @@ class TestSharedQueueBatching:
 
     def test_shared_max_batch_respected(self):
         trace = generate_trace([TrafficPattern("a", 3000.0)], duration_s=0.5)
-        server = _server(isolated=False, max_batch_a=4)
-        completed, _ = server._run_shared_queue(trace)
-        assert max(record.batch_size for record in completed) <= 4
+        obs = Observability()
+        server = _server(isolated=False, obs=obs, max_batch_a=4)
+        _, completed = _run_with_records(server, obs, trace)
+        assert max(batch for *_, batch in completed) <= 4
         assert len(completed) == len(trace)
 
     def test_shared_batching_never_reorders_other_tenants(self):
@@ -229,21 +249,23 @@ class TestIsolation:
 def test_property_queueing_invariants(rate, seed, max_batch):
     """No time travel: every request starts after arrival and after the
     previous service on its queue; latency >= service time."""
+    obs = Observability()
     server = InferenceServer(
         [TenantConfig("a", "resnet50", 1, max_batch=max_batch)],
         service_times_ns={"a": 1.0e6},
+        obs=obs,
     )
     trace = generate_trace([TrafficPattern("a", rate)], duration_s=0.5, seed=seed)
     if not trace:
         return
-    completed, shed = server._run_single_queue(trace, "a")
-    assert not shed  # no admission limit configured
+    reports, completed = _run_with_records(server, obs, trace)
+    assert not reports["a"].shed  # no admission limit configured
     assert len(completed) == len(trace)
     last_finish = 0.0
     seen_starts = []
-    for record in sorted(completed, key=lambda c: (c.start_ns, c.request.request_id)):
-        assert record.start_ns >= record.request.arrival_ns - 1e-9
-        assert record.finish_ns > record.start_ns
-        assert record.latency_ms >= 0
-        seen_starts.append(record.start_ns)
+    for arrival, start, finish, _ in sorted(completed, key=lambda c: c[1]):
+        assert start >= arrival - 1e-9
+        assert finish > start
+        assert (finish - arrival) / 1e6 >= 0
+        seen_starts.append(start)
     assert seen_starts == sorted(seen_starts)
