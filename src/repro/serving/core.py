@@ -7,7 +7,7 @@ order, it does:
 
 1. **advance** the pool to the arrival (the fleet fires its due
    governor / autoscaler / SDC-screen ticks and repair probes here);
-2. **capacity check** — no slot able to take traffic sheds
+2. **capacity check** — if no slot can take traffic the arrival is shed
    ``no-capacity``;
 3. **admission** — an :class:`~repro.serving.admission.AdmissionController`
    (bounded class queues, deadline-aware shedding, brownout) or else the
@@ -22,7 +22,7 @@ The loop owns only those shared steps. A *pool* owns what really differs
 — one tenant's group slice, the whole chip, or a replica fleet — behind a
 duck-typed seam:
 
-- ``advance(now)`` and ``has_capacity()``;
+- ``advance(now)``, returning whether any slot can take traffic;
 - ``earliest_start(now)``, ``admission_service_ns(request)`` and
   ``pressure_floor()`` — the predicted wait, the one-request service
   estimate and a floor under the backpressure signal (the fleet's power
@@ -202,12 +202,12 @@ class Ledger:
     ``(request, reason)`` in loop order.
     """
 
-    def __init__(self, tenants, classes: bool) -> None:
+    def __init__(self, tenants, classes: bool, shed_log=None) -> None:
         self.tallies = {name: TenantTally() for name in tenants}
         self.classes = classes
+        self.shed_log = shed_log
         self.horizon_ns = 0.0
         """Latest batch finish seen (0.0 before any service)."""
-        self.shed_log: list[tuple[Request, str]] | None = None
 
     def shed(self, request: Request, reason: str) -> None:
         tally = self.tallies[request.tenant]
@@ -281,8 +281,7 @@ def serve_requests(
         if taken[index]:
             continue  # batched with an earlier head, accounted there
         now = head.arrival_ns
-        pool.advance(now)
-        if not pool.has_capacity():
+        if not pool.advance(now):
             ledger.shed(head, "no-capacity")
             continue
         if admission is not None:

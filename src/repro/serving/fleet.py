@@ -559,7 +559,6 @@ class FleetManager:
         self._events.sort(key=lambda event: event.time_ns)
         horizon = max(
             [ledger.horizon_ns] + [event.time_ns for event in self._events]
-            or [0.0]
         )
         report = self._report(stats, horizon)
         if self.obs is not None:
@@ -1449,7 +1448,7 @@ class _FleetPool:
 
     # -- the pool seam -------------------------------------------------------
 
-    def advance(self, now: float) -> None:
+    def advance(self, now: float) -> bool:
         ticks = self.ticks
         while ticks and ticks[0][0] <= now:
             due, rank, interval, fire = heappop(ticks)
@@ -1457,8 +1456,6 @@ class _FleetPool:
             heappush(ticks, (due + interval, rank, interval, fire))
         self.router.advance(now)
         self.manager._advance(now)
-
-    def has_capacity(self) -> bool:
         active = self.router.active_count()
         governor = self.manager._governor
         if active and governor is not None:

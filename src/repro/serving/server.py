@@ -502,11 +502,13 @@ class InferenceServer:
         ctl = self._admission_ctl
         if ctl is not None:
             ctl.reset()
-        ledger = Ledger(self.tenants, classes=ctl is not None)
-        records: list[CompletedRequest] | None = None
-        if self.obs is not None:
-            records = []
-            ledger.shed_log = []
+        # Per-request records and sheds are kept only for the obs export.
+        observed = self.obs is not None
+        records: list[CompletedRequest] | None = [] if observed else None
+        ledger = Ledger(
+            self.tenants, classes=ctl is not None,
+            shed_log=[] if observed else None,
+        )
         # Isolated mode replays one queue per tenant slice, one after
         # another. The admission controller is shared and not reset
         # between them, so a later slice starts at the brownout level the
@@ -524,7 +526,7 @@ class InferenceServer:
             serve_requests(queue, pool, ledger, self.ras, ctl)
         ledger.close()
         reports = self._report(ledger, trace)
-        if self.obs is not None:
+        if observed:
             self._emit_observability(records, ledger.shed_log, reports)
         return reports
 
@@ -741,10 +743,7 @@ class _SlicePool:
         """(start, size, retries, degraded) of the batch just served."""
         self.settles = records is not None
 
-    def advance(self, now: float) -> None:
-        pass
-
-    def has_capacity(self) -> bool:
+    def advance(self, now: float) -> bool:
         return True
 
     def earliest_start(self, now: float) -> float:
