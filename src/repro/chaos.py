@@ -1024,18 +1024,9 @@ def run_scenario(
         ]
         for name in missing:
             service_times[name] = 2.0e6
-    manager = FleetManager(
-        list(scenario.tenants),
-        config=fleet_config,
-        schedule=scenario.schedule,
-        ras=scenario.ras,
-        obs=own_obs,
-        service_times_ns=service_times,
-        admission=scenario.admission,
-        autoscaler=scenario.autoscaler,
-        routing=routing,
-        powercap=scenario.powercap,
-        sdc=scenario.sdc,
+    manager = _scenario_fleet(
+        scenario, fleet_config, service_times, routing, obs=own_obs,
+        powercap=scenario.powercap, sdc=scenario.sdc,
     )
     trace = _scenario_trace(scenario, seed)
     report = manager.run(trace)
@@ -1096,6 +1087,32 @@ def _scenario_trace(
     )
 
 
+def _scenario_fleet(
+    scenario: ChaosScenario,
+    fleet_config: FleetConfig,
+    service_times: dict[str, float] | None,
+    routing: str | None,
+    obs: Observability | None = None,
+    powercap: PowerCapConfig | None = None,
+    sdc: SdcConfig | None = None,
+) -> FleetManager:
+    """The scenario's fleet with the given optional layers attached
+    (the manager copies ``service_times``, so callers may share one)."""
+    return FleetManager(
+        list(scenario.tenants),
+        config=fleet_config,
+        schedule=scenario.schedule,
+        ras=scenario.ras,
+        obs=obs,
+        service_times_ns=service_times,
+        admission=scenario.admission,
+        autoscaler=scenario.autoscaler,
+        routing=routing,
+        powercap=powercap,
+        sdc=sdc,
+    )
+
+
 def _overload_sweep(
     scenario: ChaosScenario,
     seed: int,
@@ -1112,17 +1129,8 @@ def _overload_sweep(
     fleet without observability so the main run's exported metrics stay
     exactly what the obs-consistency invariants audited.
     """
-    sweep_manager = FleetManager(
-        list(scenario.tenants),
-        config=fleet_config,
-        schedule=scenario.schedule,
-        ras=scenario.ras,
-        service_times_ns=(
-            dict(service_times) if service_times is not None else None
-        ),
-        admission=scenario.admission,
-        autoscaler=scenario.autoscaler,
-        routing=routing,
+    sweep_manager = _scenario_fleet(
+        scenario, fleet_config, service_times, routing
     )
     rows: list[dict] = []
     previous_rate: float | None = None
@@ -1173,17 +1181,8 @@ def _cap_sweep(
     rows: list[dict] = []
     horizons: list[float] = []
     for multiplier in scenario.cap_multipliers:
-        manager = FleetManager(
-            list(scenario.tenants),
-            config=fleet_config,
-            schedule=scenario.schedule,
-            ras=scenario.ras,
-            service_times_ns=(
-                dict(service_times) if service_times is not None else None
-            ),
-            admission=scenario.admission,
-            autoscaler=scenario.autoscaler,
-            routing=routing,
+        manager = _scenario_fleet(
+            scenario, fleet_config, service_times, routing,
             powercap=scenario.powercap.scaled(multiplier),
         )
         trace = _scenario_trace(scenario, seed)
@@ -1242,19 +1241,9 @@ def _sdc_control(
     exported metrics stay exactly what the obs-consistency invariants
     audited.
     """
-    manager = FleetManager(
-        list(scenario.tenants),
-        config=fleet_config,
-        schedule=scenario.schedule,
-        ras=scenario.ras,
-        service_times_ns=(
-            dict(service_times) if service_times is not None else None
-        ),
-        admission=scenario.admission,
-        autoscaler=scenario.autoscaler,
-        routing=routing,
-        powercap=scenario.powercap,
-        sdc=SdcConfig(),
+    manager = _scenario_fleet(
+        scenario, fleet_config, service_times, routing,
+        powercap=scenario.powercap, sdc=SdcConfig(),
     )
     trace = _scenario_trace(scenario, seed)
     report = manager.run(trace)

@@ -55,7 +55,6 @@ from repro.serving.core import (
 )
 from repro.serving.routing import (
     DepthView,
-    PowerAwareRouter,
     PrunedFinishes,
     ReplicaStatus,
     make_router,
@@ -349,7 +348,7 @@ class _Replica:
     repair_attempts: int = 0
     power_dilation: float = 1.0
     """Service-time stretch the fleet power governor's cap imposes
-    (1.0 = uncapped; only read when a governor is attached)."""
+    (1.0 = uncapped, and always 1.0 without a governor)."""
 
 
 class FleetManager:
@@ -426,14 +425,12 @@ class FleetManager:
         # reports (tests/serving/test_routing.py).
         self.routing = resolve_routing(routing)
         self._router = make_router(self.routing)
-        if self._governor is not None:
-            self._router = PowerAwareRouter(self._router)
-        if self.sdc_config is not None:
-            from repro.serving.sdc import SdcAwareRouter
-
-            # Outermost wrapper: corruption suspicion is a soft
-            # avoidance applied after the governor's hard exclusions.
-            self._router = SdcAwareRouter(self._router)
+        # Routing sets the optional layers publish, composed by _pick:
+        # parked (the power budget cannot run them), avoided (throttled
+        # past the power headroom) and suspected (open SDC detection).
+        self._parked: frozenset[int] = frozenset()
+        self._avoided: frozenset[int] = frozenset()
+        self._suspected: frozenset[int] = frozenset()
         self._service_memo: dict[tuple[str, int], float] = {}
         self._bringup_events: list[LifecycleEvent] = []
         # Per-run state, re-created by every run().
@@ -515,6 +512,7 @@ class FleetManager:
         self._reset()
         cfg = self.config
         self._router.rebuild(self._replicas)
+        self._parked = self._avoided = self._suspected = frozenset()
         if self._governor is not None:
             self._governor.reset(self._replicas)
             self._apply_power_signals()
@@ -598,9 +596,8 @@ class FleetManager:
         dilations = governor.dilations()
         for replica in self._replicas:
             replica.power_dilation = dilations[replica.index]
-        self._router.set_power_sets(
-            governor.avoid_indices(), governor.parked_indices()
-        )
+        self._avoided = governor.avoid_indices()
+        self._parked = governor.parked_indices()
 
     def _autoscale_tick(self, now: float) -> None:
         """One autoscaler evaluation: promote a standby or drain an
@@ -629,16 +626,8 @@ class FleetManager:
             power_feasible=power_feasible,
         )
         if delta > 0:
-            spare.status = ReplicaStatus.ACTIVE
-            spare.free_at = max(spare.free_at, now)
-            router.update(spare)
+            self._activate(spare, now, "scaled-up", scaler.actions[-1].reason)
             self._counters.autoscale_ups += 1
-            self._events.append(
-                LifecycleEvent(
-                    now, spare.name, "scaled-up",
-                    scaler.actions[-1].reason,
-                )
-            )
         elif delta < 0:
             victim = router.drain_victim()
             victim.status = ReplicaStatus.STANDBY
@@ -689,10 +678,9 @@ class FleetManager:
         hedges = 0
         excluded: set[int] = set()
         finish = dispatch_ns
-        router = self._router
         last_joiner_ns = members[-1].arrival_ns
         while True:
-            replica = router.pick(dispatch_ns, excluded)
+            replica = self._pick(dispatch_ns, excluded)
             if replica is None:
                 return finish, "failed", hedges
             if excluded:
@@ -707,21 +695,19 @@ class FleetManager:
                 replica, head.tenant, start, self._rngs[replica.name],
                 batch=len(members),
             )
-            replica.free_at = finish
-            if self._governor is not None:
-                # Fatal attempts burned power too: every occupied
-                # interval feeds the governor's draw accounting.
-                self._governor.note_busy(replica.index, start, finish)
-            router.update(replica)
+            # Fatal attempts burned power too: every occupied interval
+            # feeds the governor's draw accounting.
+            self._occupy(replica, start, finish)
             if self._sdc is not None:
                 # ABFT detections inside _attempt queued containment
-                # directives; apply them at the attempt's finish time.
+                # directives; apply them at the attempt's finish time,
+                # then audit and ledger an ok result.
                 self._apply_sdc_actions(finish)
-            if outcome == "ok":
-                if self._sdc is not None:
+                if outcome == "ok":
                     self._sdc_serve(
                         replica, head.tenant, len(members), corrupted, finish
                     )
+            if outcome == "ok":
                 replica.served += len(members)
                 replica.consecutive_fatals = 0
                 return finish, "ok", hedges
@@ -755,22 +741,8 @@ class FleetManager:
         execution escalates to a fatal outcome and the ordinary
         quarantine machinery.
         """
-        memo_key = (tenant_name, batch)
-        service = self._service_memo.get(memo_key)
-        if service is None:
-            service = batch_service_time_ns(
-                self.service_times_ns[tenant_name], batch
-            )
-            self._service_memo[memo_key] = service
-        if self._governor is not None and replica.power_dilation != 1.0:
-            # The power cap's performance echo: a throttled device serves
-            # the same work, stretched by the governor's dilation.
-            service = service * replica.power_dilation
+        service = self._service_ns(replica, tenant_name, batch)
         tracker = self._sdc
-        if tracker is not None:
-            # Result checking costs compute: the checked path's measured
-            # slowdown (serving.sdc_overhead bench) stretches service.
-            service = service * tracker.service_multiplier()
         events_per_attempt = self.ras.transfers_per_request * batch
         now = start
         retries = 0
@@ -808,6 +780,64 @@ class FleetManager:
                     continue
             return now, "ok", retries, corrupted
 
+    def _pick(self, now: float, excluded=frozenset()) -> _Replica | None:
+        """Least-loaded replica under the optional layers' routing sets.
+
+        ``parked`` is a hard exclusion added to every router query.
+        ``suspected`` and ``avoided`` are soft: the pick tries the pool
+        without both, then without the suspected, then without the
+        avoided, then everyone, and the first tier that yields a replica
+        wins (a tier whose set is empty is skipped). A heavily capped or
+        fully suspect fleet degrades instead of refusing traffic.
+        ``earliest_start`` ignores all three sets (docs/power.md).
+        """
+        pick = self._router.pick
+        if self._parked:
+            excluded = excluded | self._parked
+        suspected, avoided = self._suspected, self._avoided
+        if suspected:
+            if avoided:
+                replica = pick(now, excluded | suspected | avoided)
+                if replica is not None:
+                    return replica
+            replica = pick(now, excluded | suspected)
+            if replica is not None:
+                return replica
+        if avoided:
+            replica = pick(now, excluded | avoided)
+            if replica is not None:
+                return replica
+        return pick(now, excluded)
+
+    def _service_ns(
+        self, replica: _Replica, tenant_name: str, batch: int
+    ) -> float:
+        """One batch's service time on ``replica``."""
+        memo_key = (tenant_name, batch)
+        service = self._service_memo.get(memo_key)
+        if service is None:
+            service = batch_service_time_ns(
+                self.service_times_ns[tenant_name], batch
+            )
+            self._service_memo[memo_key] = service
+        if replica.power_dilation != 1.0:
+            # The power cap's performance echo: a throttled device serves
+            # the same work, stretched by the governor's dilation.
+            service = service * replica.power_dilation
+        if self._sdc is not None:
+            # Result checking costs compute: the checked path's measured
+            # slowdown (serving.sdc_overhead bench) stretches service.
+            service = service * self._sdc.service_multiplier()
+        return service
+
+    def _occupy(self, replica: _Replica, start: float, finish: float) -> None:
+        """Hold ``replica`` busy over ``[start, finish)``: its free time,
+        the router's view of it and the governor's draw accounting."""
+        replica.free_at = finish
+        self._router.update(replica)
+        if self._governor is not None:
+            self._governor.note_busy(replica.index, start, finish)
+
     # -- lifecycle -----------------------------------------------------------
 
     def _maybe_quarantine(self, replica: _Replica, now: float) -> None:
@@ -835,20 +865,29 @@ class FleetManager:
         self._promote_spare(replica.name, now)
         self._counters.note_healthy(self._router.active_count())
 
+    def _retire(self, replica: _Replica, now: float, detail: str) -> None:
+        """Take ``replica`` out of the fleet for good."""
+        replica.status = ReplicaStatus.RETIRED
+        replica.repair_due_ns = None
+        self._router.update(replica)
+        self._counters.retirements += 1
+        self._events.append(LifecycleEvent(now, replica.name, "retired", detail))
+
     def _promote_spare(self, replaced: str, now: float) -> None:
         spare = self._router.standby()
         if spare is None:
             return
+        self._activate(spare, now, "promoted", f"hot spare replacing {replaced}")
+        self._counters.promotions += 1
+
+    def _activate(
+        self, spare: _Replica, now: float, kind: str, detail: str
+    ) -> None:
+        """Bring a standby replica into the routing pool at ``now``."""
         spare.status = ReplicaStatus.ACTIVE
         spare.free_at = max(spare.free_at, now)
         self._router.update(spare)
-        self._counters.promotions += 1
-        self._events.append(
-            LifecycleEvent(
-                now, spare.name, "promoted",
-                f"hot spare replacing {replaced}",
-            )
-        )
+        self._events.append(LifecycleEvent(now, spare.name, kind, detail))
 
     # -- silent-data-corruption defense (repro.serving.sdc) -------------------
 
@@ -864,18 +903,14 @@ class FleetManager:
         served-corrupted ledger for anything nothing caught."""
         tracker = self._sdc
         if tracker.audit_selected():
-            secondary = self._router.pick(finish, {replica.index})
+            secondary = self._pick(finish, {replica.index})
             if secondary is not None:
                 tracker.audits_run += 1
-                service = self._service_memo.get((tenant_name, batch))
                 start = max(finish, secondary.free_at)
-                audit_finish = start + service
-                secondary.free_at = audit_finish
-                if self._governor is not None:
-                    self._governor.note_busy(
-                        secondary.index, start, audit_finish
-                    )
-                self._router.update(secondary)
+                audit_finish = start + self._service_ns(
+                    secondary, tenant_name, batch
+                )
+                self._occupy(secondary, start, audit_finish)
                 secondary_corrupted = tracker.audit_secondary_corrupted(
                     secondary.index, start
                 )
@@ -918,10 +953,7 @@ class FleetManager:
                 continue
             detections = tracker.screen_replica(replica.name, replica.index, now)
             if cost_ns > 0.0:
-                replica.free_at = now + cost_ns
-                self._router.update(replica)
-                if self._governor is not None:
-                    self._governor.note_busy(replica.index, now, replica.free_at)
+                self._occupy(replica, now, now + cost_ns)
             if detections:
                 self._events.append(
                     LifecycleEvent(
@@ -940,17 +972,8 @@ class FleetManager:
                 if replica.status is ReplicaStatus.RETIRED:
                     continue
                 was_active = replica.status is ReplicaStatus.ACTIVE
-                replica.status = ReplicaStatus.RETIRED
-                replica.repair_due_ns = None
-                self._router.update(replica)
-                self._counters.retirements += 1
+                self._retire(replica, now, "repeat silent-corruption offender")
                 tracker.sdc_retirements += 1
-                self._events.append(
-                    LifecycleEvent(
-                        now, replica.name, "retired",
-                        "repeat silent-corruption offender",
-                    )
-                )
                 if was_active:
                     self._promote_spare(replica.name, now)
                 self._counters.note_healthy(self._router.active_count())
@@ -958,10 +981,13 @@ class FleetManager:
                 if replica.status is ReplicaStatus.ACTIVE:
                     tracker.sdc_quarantines += 1
                     self._quarantine(replica, now, "silent corruption detected")
-        self._router.set_suspected(tracker.suspected_frozen())
+        self._suspected = tracker.suspected_frozen()
 
-    def _advance(self, now: float) -> None:
-        """Process every repair probe due at or before ``now``."""
+    def _advance(self, now: float | None) -> None:
+        """Process every repair probe due at or before ``now``; with
+        ``None`` (after the trace ends) let every pending repair run to
+        completion so the report shows each quarantine's final
+        disposition."""
         router = self._router
         while True:
             replica = router.due_repair(now)
@@ -1066,38 +1092,21 @@ class FleetManager:
                 # the strongest evidence the board computes honestly
                 # again: stop avoiding it in routing.
                 self._sdc.clear(replica.index)
-                self._router.set_suspected(self._sdc.suspected_frozen())
+                self._suspected = self._sdc.suspected_frozen()
             return
         self._counters.repair_failures += 1
         self._events.append(
             LifecycleEvent(due, replica.name, "repair_failed", detail)
         )
         if replica.repair_attempts >= cfg.max_repair_attempts:
-            replica.status = ReplicaStatus.RETIRED
-            replica.repair_due_ns = None
-            self._counters.retirements += 1
-            self._events.append(
-                LifecycleEvent(
-                    due, replica.name, "retired",
-                    f"{replica.repair_attempts} failed repair probes",
-                )
+            self._retire(
+                replica, due, f"{replica.repair_attempts} failed repair probes"
             )
         else:
             replica.repair_due_ns = due + cfg.repair_ms * 1e6
-        self._router.update(replica)
+            self._router.update(replica)
         if self._sdc is not None:
             self._apply_sdc_actions(due)
-
-    def _drain_repairs(self) -> None:
-        """After the trace ends, let pending repairs run to completion so
-        the report shows each quarantine's final disposition."""
-        router = self._router
-        while True:
-            replica = router.due_repair(None)
-            if replica is None:
-                break
-            self._probe(replica)
-        self._counters.note_healthy(router.active_count())
 
     # -- reporting -----------------------------------------------------------
 
@@ -1457,19 +1466,17 @@ class _FleetPool:
         self.router.advance(now)
         self.manager._advance(now)
         active = self.router.active_count()
-        governor = self.manager._governor
-        if active and governor is not None:
+        parked = self.manager._parked
+        if active and parked:
             # Parked replicas are powered off by the cap: they sit in
             # the routing pool but cannot take traffic, so a fully
             # parked fleet sheds for lack of capacity like a fully
             # quarantined one.
-            parked = governor.parked_indices()
-            if parked:
-                replicas = self.manager._replicas
-                active -= sum(
-                    1 for index in parked
-                    if replicas[index].status is ReplicaStatus.ACTIVE
-                )
+            replicas = self.manager._replicas
+            active -= sum(
+                1 for index in parked
+                if replicas[index].status is ReplicaStatus.ACTIVE
+            )
         return bool(active)
 
     def earliest_start(self, now: float) -> float:
@@ -1515,7 +1522,7 @@ class _FleetPool:
             while rank == _SCREEN and due <= horizon:
                 fire(due)
                 due += interval
-        self.manager._drain_repairs()
+        self.manager._advance(None)
         for due, rank, interval, fire in self.ticks:
             # Close governor windows until every occupied interval is
             # accounted, so the energy integral covers the whole run.

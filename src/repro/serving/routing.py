@@ -54,7 +54,6 @@ __all__ = [
     "DepthView",
     "FleetRouter",
     "HeapRouter",
-    "PowerAwareRouter",
     "PrunedFinishes",
     "ReferenceRouter",
     "ReplicaStatus",
@@ -375,77 +374,6 @@ class HeapRouter(FleetRouter):
             heappop(heap)
             return self._replicas[index]
         return None
-
-
-class PowerAwareRouter(FleetRouter):
-    """Power-headroom-aware wrapper over either base router.
-
-    The fleet power governor publishes two index sets after every
-    governor window:
-
-    - ``parked`` — devices the budget cannot power at all.  A **hard**
-      exclusion: parked replicas never take traffic, exactly like an
-      excluded hedge target.
-    - ``avoid`` — powered devices throttled past the configured
-      headroom threshold.  A **soft** penalty on the routing score: the
-      pick first competes only unavoided replicas, and falls back to the
-      full (non-parked) pool when nothing else is available — a heavily
-      capped fleet degrades instead of refusing traffic.
-
-    Everything else — clocks, depth queries, lifecycle heaps — delegates
-    to the wrapped router, so the wrapper preserves the reference/heap
-    byte-identity contract within each preference tier.
-    ``earliest_start`` stays the inner router's answer (the admission
-    wait prediction ignores the soft preference; documented in
-    docs/power.md).
-    """
-
-    name = "power-aware"
-
-    def __init__(self, inner: FleetRouter) -> None:
-        self.inner = inner
-        self.avoid: frozenset[int] = frozenset()
-        self.parked: frozenset[int] = frozenset()
-
-    def set_power_sets(
-        self, avoid: frozenset[int], parked: frozenset[int]
-    ) -> None:
-        self.avoid = avoid
-        self.parked = parked
-
-    def rebuild(self, replicas: list) -> None:
-        self.avoid = frozenset()
-        self.parked = frozenset()
-        self.inner.rebuild(replicas)
-
-    def advance(self, now: float) -> None:
-        self.inner.advance(now)
-
-    def update(self, replica) -> None:
-        self.inner.update(replica)
-
-    def pick(self, now: float, excluded=frozenset()):
-        hard = excluded | self.parked if self.parked else excluded
-        if self.avoid:
-            preferred = self.inner.pick(now, hard | self.avoid)
-            if preferred is not None:
-                return preferred
-        return self.inner.pick(now, hard)
-
-    def earliest_start(self, now: float) -> float:
-        return self.inner.earliest_start(now)
-
-    def active_count(self) -> int:
-        return self.inner.active_count()
-
-    def standby(self):
-        return self.inner.standby()
-
-    def drain_victim(self):
-        return self.inner.drain_victim()
-
-    def due_repair(self, now: float | None = None):
-        return self.inner.due_repair(now)
 
 
 class PrunedFinishes:

@@ -22,7 +22,8 @@ hyperscalers run against silent data corruption (SDC), composed into
   convicts the corrupting side.
 
 Detections feed **containment**: suspected replicas are routed around
-(:class:`SdcAwareRouter`), repeat detections quarantine the replica
+(a soft preference in the fleet's replica pick, after the power
+governor's parked exclusion), repeat detections quarantine the replica
 (through the fleet's normal quarantine -> repair -> reintegrate
 lifecycle, where repair probes now include a corruption screen), and
 persistent offenders retire.
@@ -49,9 +50,8 @@ from dataclasses import dataclass
 from repro.core.errors import ReproRuntimeError
 from repro.faults.schedule import FaultSchedule
 from repro.seeding import derive_rng
-from repro.serving.routing import FleetRouter
 
-__all__ = ["SdcAwareRouter", "SdcConfig", "SdcTracker"]
+__all__ = ["SdcConfig", "SdcTracker"]
 
 ABFT_MODES = ("off", "probe", "strict")
 DETECTION_METHODS = ("abft", "audit", "screen")
@@ -165,9 +165,7 @@ class SdcTracker:
         self.detected = {method: 0 for method in DETECTION_METHODS}
         self.served_corrupted = 0
         self.screens_run = 0
-        self.screen_detections = 0
         self.audits_run = 0
-        self.audit_detections = 0
         self.sdc_quarantines = 0
         self.sdc_retirements = 0
         self.latencies_ms: list[float] = []
@@ -250,10 +248,6 @@ class SdcTracker:
     ) -> None:
         """One caught corruption event: bucket it and queue containment."""
         self.detected[method] += 1
-        if method == "screen":
-            self.screen_detections += 1
-        elif method == "audit":
-            self.audit_detections += 1
         self.latencies_ms.append(latency_ms)
         ledger = self._ledger(index)
         ledger.lifetime += 1
@@ -329,10 +323,6 @@ class SdcTracker:
 
     # -- reporting ------------------------------------------------------------
 
-    @property
-    def max_detection_latency_ms(self) -> float:
-        return max(self.latencies_ms, default=0.0)
-
     def build_section(self) -> dict:
         """The ``sdc`` section of the fleet report (JSON-stable)."""
         total_detected = sum(self.detected.values())
@@ -346,12 +336,12 @@ class SdcTracker:
             "detected_total": total_detected,
             "served_corrupted": self.served_corrupted,
             "screens_run": self.screens_run,
-            "screen_detections": self.screen_detections,
+            "screen_detections": self.detected["screen"],
             "audits_run": self.audits_run,
-            "audit_detections": self.audit_detections,
+            "audit_detections": self.detected["audit"],
             "quarantines": self.sdc_quarantines,
             "retirements": self.sdc_retirements,
-            "max_detection_latency_ms": self.max_detection_latency_ms,
+            "max_detection_latency_ms": max(self.latencies_ms, default=0.0),
             "max_resolution_latency_ms": max(
                 self.resolution_latencies_ms, default=0.0
             ),
@@ -365,59 +355,3 @@ class SdcTracker:
             },
         }
 
-
-class SdcAwareRouter(FleetRouter):
-    """Corruption-suspicion-aware wrapper over any fleet router.
-
-    Suspected replicas (>= 1 undisputed detection since their last clean
-    screen) are a **soft** avoidance: the pick first competes the
-    unsuspected pool and falls back to everyone when nothing else is
-    available — a fleet where every replica is suspect still serves
-    (the chaos invariants then count on ABFT to keep results clean).
-    Mirrors :class:`~repro.serving.routing.PowerAwareRouter`, and
-    composes outside it (power hard-exclusions apply first).
-    """
-
-    name = "sdc-aware"
-
-    def __init__(self, inner: FleetRouter) -> None:
-        self.inner = inner
-        self.suspected: frozenset[int] = frozenset()
-
-    def set_suspected(self, suspected: frozenset[int]) -> None:
-        self.suspected = suspected
-
-    def set_power_sets(self, avoid, parked) -> None:
-        self.inner.set_power_sets(avoid, parked)
-
-    def rebuild(self, replicas: list) -> None:
-        self.suspected = frozenset()
-        self.inner.rebuild(replicas)
-
-    def advance(self, now: float) -> None:
-        self.inner.advance(now)
-
-    def update(self, replica) -> None:
-        self.inner.update(replica)
-
-    def pick(self, now: float, excluded=frozenset()):
-        if self.suspected:
-            preferred = self.inner.pick(now, excluded | self.suspected)
-            if preferred is not None:
-                return preferred
-        return self.inner.pick(now, excluded)
-
-    def earliest_start(self, now: float) -> float:
-        return self.inner.earliest_start(now)
-
-    def active_count(self) -> int:
-        return self.inner.active_count()
-
-    def standby(self):
-        return self.inner.standby()
-
-    def drain_victim(self):
-        return self.inner.drain_victim()
-
-    def due_repair(self, now: float | None = None):
-        return self.inner.due_repair(now)

@@ -20,7 +20,6 @@ from repro.serving.powercap import (
     PowerCapConfig,
     PowerCapPhase,
 )
-from repro.serving.routing import PowerAwareRouter, ReferenceRouter
 from repro.serving.server import TenantConfig
 from repro.serving.workload import TrafficPattern, generate_trace
 
@@ -221,42 +220,44 @@ class TestApportionment:
         assert not tight.can_power_promotion(active_count=2)
 
 
-class TestPowerAwareRouter:
-    def _replicas(self, n=3):
-        return [_FakeReplica(index=i, name=f"r{i}") for i in range(n)]
-
-    def test_soft_avoid_prefers_unthrottled(self):
-        router = PowerAwareRouter(ReferenceRouter())
-        replicas = self._replicas()
-        router.rebuild(replicas)
-        router.set_power_sets(avoid=frozenset({0}), parked=frozenset())
-        assert router.pick(0.0).index == 1
-
-    def test_soft_avoid_falls_back_when_all_avoided(self):
-        router = PowerAwareRouter(ReferenceRouter())
-        replicas = self._replicas(2)
-        router.rebuild(replicas)
-        router.set_power_sets(avoid=frozenset({0, 1}), parked=frozenset())
-        assert router.pick(0.0) is not None
-
-    def test_parked_is_a_hard_exclusion(self):
-        router = PowerAwareRouter(ReferenceRouter())
-        replicas = self._replicas(2)
-        router.rebuild(replicas)
-        router.set_power_sets(avoid=frozenset(), parked=frozenset({0, 1}))
-        assert router.pick(0.0) is None
-
-    def test_rebuild_clears_power_sets(self):
-        router = PowerAwareRouter(ReferenceRouter())
-        replicas = self._replicas(2)
-        router.rebuild(replicas)
-        router.set_power_sets(avoid=frozenset(), parked=frozenset({0, 1}))
-        router.rebuild(replicas)
-        assert router.pick(0.0) is not None
-
-
 TENANTS = [TenantConfig("t", "resnet50", groups=2, max_batch=1)]
 SERVICE_TIMES = {"t": 1.0e6}
+
+
+class TestPowerAwareRouter:
+    """The fleet's replica pick under the governor's published sets."""
+
+    def _fleet(self, n=3):
+        manager = FleetManager(
+            TENANTS,
+            config=FleetConfig(replicas=n, validate_on_open=False),
+            service_times_ns=dict(SERVICE_TIMES),
+        )
+        manager._router.rebuild(manager._replicas)
+        return manager
+
+    def test_soft_avoid_prefers_unthrottled(self):
+        manager = self._fleet()
+        manager._avoided = frozenset({0})
+        assert manager._pick(0.0).index == 1
+
+    def test_soft_avoid_falls_back_when_all_avoided(self):
+        manager = self._fleet(2)
+        manager._avoided = frozenset({0, 1})
+        assert manager._pick(0.0) is not None
+
+    def test_parked_is_a_hard_exclusion(self):
+        manager = self._fleet(2)
+        manager._parked = frozenset({0, 1})
+        assert manager._pick(0.0) is None
+
+    def test_rebuild_clears_power_sets(self):
+        manager = self._fleet(2)
+        manager._avoided = frozenset({0})
+        manager._parked = frozenset({0, 1})
+        manager.run([])
+        assert manager._parked == manager._avoided == frozenset()
+        assert manager._pick(0.0) is not None
 
 
 def _run_fleet(powercap=None, rate=800.0, seed=3):

@@ -293,7 +293,14 @@ def _suite_json(name, routing):
     return json.dumps(payload, sort_keys=True)
 
 
-@pytest.mark.parametrize("scenario", ["replica-kill", "flash-crowd"])
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        "replica-kill", "flash-crowd",
+        # The power and SDC layers route through the composed pick.
+        "cap-with-device-loss", "defective-core-outbreak",
+    ],
+)
 def test_chaos_scenario_reports_byte_identical(scenario):
     assert _suite_json(scenario, "heap") == _suite_json(scenario, "reference")
 

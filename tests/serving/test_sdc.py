@@ -18,12 +18,13 @@ from repro.serving import (
     FleetConfig,
     FleetManager,
     RasConfig,
+    Request,
     TenantConfig,
     TrafficPattern,
     generate_trace,
 )
 from repro.serving.routing import FleetRouter
-from repro.serving.sdc import SdcAwareRouter, SdcConfig, SdcTracker
+from repro.serving.sdc import SdcConfig, SdcTracker
 
 SILENT_STORM = FaultSchedule(
     phases=(
@@ -179,48 +180,82 @@ class TestSdcTrackerLedger:
 
 
 class _StubRouter(FleetRouter):
-    """Deterministic inner router: lowest allowed index wins."""
+    """Deterministic router: lowest allowed index wins; records the
+    exclusion set of every pick."""
 
     name = "stub"
 
     def __init__(self, indexes):
         self.indexes = list(indexes)
-        self.rebuilds = 0
-
-    def rebuild(self, replicas):
-        self.rebuilds += 1
+        self.calls = []
 
     def pick(self, now, excluded=frozenset()):
+        self.calls.append(frozenset(excluded))
         for index in self.indexes:
             if index not in excluded:
                 return index
         return None
 
 
+def _stub_fleet(indexes):
+    manager = _fleet()
+    manager._router = _StubRouter(indexes)
+    return manager
+
+
 class TestSdcAwareRouter:
+    """The fleet's replica pick under the SDC layer's suspected set."""
+
     def test_suspected_replicas_are_softly_avoided(self):
-        router = SdcAwareRouter(_StubRouter([0, 1, 2]))
-        assert router.pick(0.0) == 0
-        router.set_suspected(frozenset({0}))
-        assert router.pick(0.0) == 1
+        manager = _stub_fleet([0, 1, 2])
+        assert manager._pick(0.0) == 0
+        manager._suspected = frozenset({0})
+        assert manager._pick(0.0) == 1
 
     def test_falls_back_when_everyone_is_suspect(self):
-        router = SdcAwareRouter(_StubRouter([0, 1]))
-        router.set_suspected(frozenset({0, 1}))
-        assert router.pick(0.0) == 0  # still serves
+        manager = _stub_fleet([0, 1])
+        manager._suspected = frozenset({0, 1})
+        assert manager._pick(0.0) == 0  # still serves
 
     def test_exclusions_compose_with_suspicion(self):
-        router = SdcAwareRouter(_StubRouter([0, 1, 2]))
-        router.set_suspected(frozenset({1}))
-        assert router.pick(0.0, excluded=frozenset({0})) == 2
+        manager = _stub_fleet([0, 1, 2])
+        manager._suspected = frozenset({1})
+        assert manager._pick(0.0, excluded=frozenset({0})) == 2
 
     def test_rebuild_resets_suspicion(self):
-        inner = _StubRouter([0, 1])
-        router = SdcAwareRouter(inner)
-        router.set_suspected(frozenset({0}))
-        router.rebuild([])
-        assert router.suspected == frozenset()
-        assert inner.rebuilds == 1
+        manager = _fleet(sdc=DEFENDED)
+        manager._suspected = frozenset({0})
+        manager.run([])
+        assert manager._suspected == frozenset()
+        assert manager._pick(0.0).index == 0
+
+    def test_four_tier_order_with_parked_avoided_and_suspected(self):
+        # parked {3} is excluded from every query; the soft tiers run
+        # suspected+avoided, suspected, avoided, neither — and an empty
+        # result falls through to the next tier.
+        tiers = [
+            frozenset({0, 1, 3, 4}),
+            frozenset({0, 3, 4}),
+            frozenset({1, 3, 4}),
+            frozenset({3, 4}),
+        ]
+        for indexes, expected, n_calls in (
+            ([0, 1, 2, 3], 2, 1),
+            ([0, 1, 3], 1, 2),
+            ([0, 3], 0, 3),
+            ([3], None, 4),
+        ):
+            manager = _stub_fleet(indexes)
+            manager._parked = frozenset({3})
+            manager._suspected = frozenset({0})
+            manager._avoided = frozenset({1})
+            assert manager._pick(0.0, excluded={4}) == expected
+            assert manager._router.calls == tiers[:n_calls]
+        manager = _stub_fleet([0, 1, 2])
+        manager._avoided = frozenset({1})
+        assert manager._pick(0.0, excluded={0}) == 2
+        # An empty set's tiers are skipped, not re-queried.
+        assert manager._router.calls == [frozenset({0, 1})]
 
 
 class TestFleetIntegration:
@@ -300,6 +335,18 @@ class TestFleetIntegration:
         assert report.sdc["quarantines"] >= 1
         assert "quarantined" in report.transitions("r1")
         assert "quarantined" not in report.transitions("r0")
+
+    def test_audit_pays_the_checking_multiplier(self):
+        # The audit re-executes the batch on a second replica under the
+        # same result checking, so it costs abft_overhead x the batch
+        # service time there, like the primary execution.
+        config = SdcConfig(abft="strict", abft_overhead=2.0, audit_fraction=1.0)
+        manager = _fleet(sdc=config)
+        report = manager.run([Request(0, "a", 0.0)])
+        assert report.sdc["audits_run"] == 1
+        primary, secondary = manager._replicas[:2]
+        assert primary.free_at == 2.0e6
+        assert secondary.free_at - primary.free_at == 2.0e6
 
 
 class TestRepairProbeScreens:
