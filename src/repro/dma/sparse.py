@@ -146,7 +146,8 @@ def _compress_rle(flat: np.ndarray) -> bytes:
 
     Vectorized: one pass of array ops over the nonzero positions instead
     of a Python loop per element. Byte-identical to
-    :func:`_compress_rle_loop` (pinned in ``tests/dma/test_sparse.py``).
+    :func:`repro.oracles.compress_rle_loop` (pinned in
+    ``tests/dma/test_sparse.py``).
     """
     size = flat.size
     nonzero = np.flatnonzero(flat)
@@ -180,27 +181,6 @@ def _compress_rle(flat: np.ndarray) -> bytes:
     return runs.astype(np.uint16).tobytes() + values.tobytes()
 
 
-def _compress_rle_loop(flat: np.ndarray) -> bytes:
-    """Element-at-a-time reference encoder the fast path is pinned against."""
-    records_runs: list[int] = []
-    records_values: list[float] = []
-    run = 0
-    for value in flat:
-        if value == 0 and run < 0xFFFF:
-            run += 1
-            continue
-        records_runs.append(run)
-        records_values.append(float(value))
-        run = 0
-    # Trailing zeros: emit (run-1, 0.0) so decode reproduces them.
-    if run:
-        records_runs.append(run - 1)
-        records_values.append(0.0)
-    runs = np.asarray(records_runs, dtype=np.uint16)
-    values = np.asarray(records_values, dtype=np.float32)
-    return runs.tobytes() + values.tobytes()
-
-
 def _decompress_rle(compressed: CompressedTensor) -> np.ndarray:
     count = 1
     for extent in compressed.shape:
@@ -219,30 +199,6 @@ def _decompress_rle(compressed: CompressedTensor) -> np.ndarray:
     flat = np.zeros(total, dtype=np.float32)
     if ends.size:
         flat[ends - 1] = values
-    if flat.size != count:
-        raise SparseCodecError(
-            f"RLE decodes to {flat.size} elements, shape wants {count}"
-        )
-    return flat
-
-
-def _decompress_rle_loop(compressed: CompressedTensor) -> np.ndarray:
-    """Record-at-a-time reference decoder the fast path is pinned against."""
-    count = 1
-    for extent in compressed.shape:
-        count *= extent
-    raw = compressed.payload
-    if len(raw) % 6 != 0:
-        raise SparseCodecError("RLE payload is not a whole number of records")
-    records = len(raw) // 6
-    runs = np.frombuffer(raw[: records * 2], dtype=np.uint16)
-    values = np.frombuffer(raw[records * 2 :], dtype=np.float32)
-    pieces: list[np.ndarray] = []
-    for run, value in zip(runs, values):
-        if run:
-            pieces.append(np.zeros(int(run), dtype=np.float32))
-        pieces.append(np.asarray([value], dtype=np.float32))
-    flat = np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.float32)
     if flat.size != count:
         raise SparseCodecError(
             f"RLE decodes to {flat.size} elements, shape wants {count}"

@@ -269,8 +269,9 @@ class MatrixEngine:
         Executes on the vectorized fast path: one batched NumPy update per
         K step instead of one Python-level VMM call per (row, column tile,
         K tile). Results, architectural cost accounting (VMMs issued, MACs,
-        trace counters) and final register-file state are bit-identical to
-        :meth:`gemm_reference` — pinned by the equivalence tests in
+        trace counters), final register-file state and errors are
+        bit-identical to the tile loop :func:`repro.oracles.gemm_reference`
+        — pinned by the equivalence tests in
         ``tests/engines/test_matrix_fastpath.py``.
         """
         a = np.asarray(a, dtype=np.float64)
@@ -282,13 +283,17 @@ class MatrixEngine:
         lanes = self.lanes
         tile_k = tile_rows or lanes
         tile_k = min(tile_k, lanes, MATRIX_REGISTER_ROWS)
-        if m == 0 or n == 0 or k == 0:
-            # Degenerate extents take the reference path (it is trivially
-            # fast there and keeps the error behaviour identical).
-            result = self.gemm_reference(a, b, tile_rows)
+        if m == 0 or n == 0:
+            # The tile loop issues nothing and returns the zero matrix.
+            result = np.zeros((m, n), dtype=np.float64)
             if self.corruptor is not None:
                 result = self.corruptor.corrupt_gemm(result)
             return result
+        if k == 0:
+            # The tile loop clears row 0's accumulator, issues no VMM and
+            # reads the empty accumulator back: same side effect, same error.
+            self.clear_accumulator(0)
+            raise VmmPatternError("accumulator 0 has no value")
 
         num_col_tiles = -(-n // lanes)
         num_k_tiles = -(-k // tile_k)
@@ -353,38 +358,3 @@ class MatrixEngine:
             # returned result is wrong — wrong numbers, no error signal.
             acc = self.corruptor.corrupt_gemm(acc)
         return acc
-
-    def gemm_reference(
-        self,
-        a: np.ndarray,
-        b: np.ndarray,
-        tile_rows: int | None = None,
-    ) -> np.ndarray:
-        """The original tile-loop GEMM: one VMM call per (row, column tile,
-        K tile). Kept as the architectural reference the fast path is pinned
-        against, and as the slow side of the ``engine.gemm`` benchmark."""
-        a = np.asarray(a, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-            raise VmmPatternError(f"bad GEMM shapes {a.shape} x {b.shape}")
-        m, k = a.shape
-        _, n = b.shape
-        lanes = self.lanes
-        tile_k = tile_rows or lanes
-        tile_k = min(tile_k, lanes, MATRIX_REGISTER_ROWS)
-        out = np.zeros((m, n), dtype=np.float64)
-        for col0 in range(0, n, lanes):
-            col1 = min(col0 + lanes, n)
-            for row in range(m):
-                acc_id = row % NUM_ACCUMULATION_REGISTERS
-                self.clear_accumulator(acc_id)
-                for k0 in range(0, k, tile_k):
-                    k1 = min(k0 + tile_k, k)
-                    tile = np.zeros((tile_k, lanes), dtype=np.float64)
-                    tile[: k1 - k0, : col1 - col0] = b[k0:k1, col0:col1]
-                    vec = np.zeros(tile_k, dtype=np.float64)
-                    vec[: k1 - k0] = a[row, k0:k1]
-                    self.load_matrix(0, tile)
-                    self.vmm(vec, slot=0, acc=acc_id, accumulate=True)
-                out[row, col0:col1] = self.read_accumulator(acc_id)[: col1 - col0]
-        return out

@@ -751,13 +751,6 @@ class Executor:
         metrics.gauge(
             "sim_time_steps", "distinct timestamps the clock stepped through"
         ).set(getattr(sim, "time_steps", 0), engine=sim.engine)
-        query_stats = self.accelerator.trace.query_stats()
-        metrics.gauge(
-            "sim_busy_queries", "trace busy-time queries by evaluation path"
-        ).set(query_stats["scalar_queries"], path="scalar")
-        metrics.gauge("sim_busy_queries").set(
-            query_stats["vector_queries"], path="vector"
-        )
         metrics.gauge(
             "sim_timeout_pool_hits", "interned Timeout reuses (process-wide)"
         ).set(Timeout.pool_hits)

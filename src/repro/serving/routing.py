@@ -5,17 +5,15 @@ least-loaded active replica with the deterministic tie-break
 ``(max(free_at, now), index)`` and schedules repair probes by
 ``(repair_due_ns, index)``.  The original implementation rescans the full
 replica list per event — O(N) per request — which caps practical fleet
-size around a few hundred devices.  This module provides two
-interchangeable routers behind one interface:
-
-- :class:`ReferenceRouter` — the pinned original O(N) scans, kept
-  byte-for-byte equivalent to the historical behavior.  This is the
-  semantic oracle: every fast-path change must replay identically
-  through it (``tests/serving/test_routing.py``).
-- :class:`HeapRouter` — lazy-deletion heaps (per-entry version counters)
-  keyed by the exact same tie-breaks, giving O(log N) per event.  The
-  selection it makes is *provably identical* to the reference scan for
-  every query the fleet issues, so whole-run reports are byte-identical.
+size around a few hundred devices.  :class:`HeapRouter` replaces them
+with lazy-deletion heaps (per-entry version counters) keyed by the exact
+same tie-breaks, giving O(log N) per event.  The selection it makes is
+*provably identical* to the original scan for every query the fleet
+issues, so whole-run reports are byte-identical.  The original scans
+survive as the semantic oracle :class:`repro.oracles.ReferenceRouter`:
+every fast-path change must replay identically through it
+(``tests/serving/test_routing.py``), and ``make_router("reference")``
+still selects it by name for whole-fleet byte compares.
 
 Heap layout.  Active replicas live in two heaps anchored to a monotone
 *routing clock* (the last trace arrival the fleet advanced to):
@@ -55,7 +53,6 @@ __all__ = [
     "FleetRouter",
     "HeapRouter",
     "PrunedFinishes",
-    "ReferenceRouter",
     "ReplicaStatus",
     "make_router",
     "resolve_routing",
@@ -90,8 +87,12 @@ def resolve_routing(routing: str | None = None) -> str:
 
 def make_router(routing: str | None = None) -> "FleetRouter":
     """Build the router selected by :func:`resolve_routing`."""
-    routing = resolve_routing(routing)
-    return HeapRouter() if routing == "heap" else ReferenceRouter()
+    if resolve_routing(routing) == "heap":
+        return HeapRouter()
+    # The oracle module is imported only when a run selects it.
+    from repro.oracles import ReferenceRouter
+
+    return ReferenceRouter()
 
 
 class FleetRouter:
@@ -141,69 +142,6 @@ class FleetRouter:
         ``None``.  Returns ``None`` when nothing qualifies.  The caller
         must probe the returned replica and :meth:`update` it."""
         raise NotImplementedError
-
-
-class ReferenceRouter(FleetRouter):
-    """The pinned original O(N) scans — the semantic oracle.
-
-    Do not optimize this class: its value is being obviously identical
-    to the historical ``min()``/list-scan routing so the heap path can
-    be byte-compared against it.
-    """
-
-    name = "reference"
-
-    def rebuild(self, replicas: list) -> None:
-        self._replicas = replicas
-
-    def _active(self) -> list:
-        return [
-            replica for replica in self._replicas
-            if replica.status is ReplicaStatus.ACTIVE
-        ]
-
-    def pick(self, now: float, excluded=frozenset()):
-        candidates = [
-            replica for replica in self._active()
-            if replica.index not in excluded
-        ]
-        if not candidates:
-            return None
-        return min(
-            candidates,
-            key=lambda r: (max(r.free_at, now), r.index),
-        )
-
-    def earliest_start(self, now: float) -> float:
-        return min(
-            max(replica.free_at, now) for replica in self._active()
-        )
-
-    def active_count(self) -> int:
-        return len(self._active())
-
-    def standby(self):
-        for replica in self._replicas:
-            if replica.status is ReplicaStatus.STANDBY:
-                return replica
-        return None
-
-    def drain_victim(self):
-        active = self._active()
-        if not active:
-            return None
-        return max(active, key=lambda replica: replica.index)
-
-    def due_repair(self, now: float | None = None):
-        due = [
-            replica for replica in self._replicas
-            if replica.status is ReplicaStatus.QUARANTINED
-            and replica.repair_due_ns is not None
-            and (now is None or replica.repair_due_ns <= now)
-        ]
-        if not due:
-            return None
-        return min(due, key=lambda r: (r.repair_due_ns, r.index))
 
 
 class HeapRouter(FleetRouter):

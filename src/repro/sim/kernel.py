@@ -24,30 +24,24 @@ Time is a float; by repository convention it is **nanoseconds**.
 Engine contract (docs/sim-internals.md)
 ---------------------------------------
 
-Two interchangeable event cores implement the same scheduling contract:
-
-- :class:`Simulator` — the default fast engine: same-timestamp wakeups are
-  drained in one batch (the clock is written once per distinct time, not
-  once per event), :class:`Timeout` objects are interned so repeated
-  delays allocate nothing, and :class:`AllOf` joins use counting gates
-  instead of closure chains;
-- :class:`~repro.sim.kernel_reference.ReferenceSimulator` — the pinned
-  original loop (one pop + one resume per event), kept as the
-  bit-reproducibility anchor.
+:class:`Simulator` is the fast engine: same-timestamp wakeups are drained
+in one batch (the clock is written once per distinct time, not once per
+event), :class:`Timeout` objects are interned so repeated delays allocate
+nothing, and :class:`AllOf` joins use counting gates instead of closure
+chains. It is pinned against the original one-pop-per-event loop,
+:class:`repro.oracles.ReferenceSimulator`.
 
 Both order the event queue by ``(time, sequence)`` — ``sequence`` is a
 per-simulator monotonic counter, so ties at one timestamp resolve in
 scheduling order and **never** by object identity. Any workload must
-produce byte-identical traces and clocks on both engines; pick one with
-:func:`make_simulator` (or ``REPRO_SIM_ENGINE=reference`` in the
-environment).
+produce byte-identical traces and clocks on both engines; inject the
+reference where a simulator is taken (``Accelerator(..., sim=...)``).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import os
 from dataclasses import dataclass, field
 
 
@@ -205,18 +199,6 @@ class _AllOfGate:
             )
 
 
-class _CallbackWaiter:
-    """Adapter letting plain callables sit in an event's waiter list."""
-
-    __slots__ = ("_callback",)
-
-    def __init__(self, callback) -> None:
-        self._callback = callback
-
-    def _resume(self, value) -> None:
-        self._callback(value)
-
-
 class Process:
     """A running generator inside the simulator.
 
@@ -371,28 +353,6 @@ class Simulator:
             self.events_dispatched += dispatched
             self.time_steps += steps
         return self.now
-
-
-def make_simulator(engine: str | None = None):
-    """Build an event core by name: ``"fast"`` (default) or ``"reference"``.
-
-    With ``engine=None`` the choice comes from the ``REPRO_SIM_ENGINE``
-    environment variable, so a whole run — accelerators, fleets, benches —
-    can be flipped onto the pinned reference kernel without code changes.
-    Both engines satisfy the same ordering contract (docs/sim-internals.md)
-    and must produce byte-identical results.
-    """
-    if engine is None:
-        engine = os.environ.get("REPRO_SIM_ENGINE", "fast")
-    if engine == "fast":
-        return Simulator()
-    if engine == "reference":
-        from repro.sim.kernel_reference import ReferenceSimulator
-
-        return ReferenceSimulator()
-    raise SimulationError(
-        f"unknown simulation engine {engine!r}; expected 'fast' or 'reference'"
-    )
 
 
 @dataclass

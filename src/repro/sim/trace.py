@@ -6,8 +6,8 @@ both consume traces: the profiler to report per-operator latency, the power
 model to reconstruct per-engine busy/stall duty cycles inside DVFS
 observation windows.
 
-Vectorized interval queries
----------------------------
+Interval queries
+----------------
 
 The power manager asks ``busy_time`` / ``utilization`` questions about a
 sliding window once per DVFS observation window, per engine — thousands of
@@ -15,19 +15,15 @@ queries over a trace that keeps growing. The original implementation
 scanned **every** interval in the trace per query (quadratic over a run;
 it dominated end-to-end launch wall time). The trace now keeps a
 *columnar* per-engine timeline (parallel start/end columns, grown
-append-only) with a monotone skip pointer, so one query touches only that
-engine's still-relevant intervals; large candidate sets run the
-overlap/clip/merge as a handful of vectorized NumPy array operations,
-small ones as a scalar merge over the pruned slice (see
-``_VECTOR_CUTOFF``).
+append-only) with a monotone skip pointer, so one query merges only that
+engine's still-relevant intervals.
 
-Bit-reproducibility contract (docs/sim-internals.md): both query paths
-perform **exactly** the same IEEE-754 operations as the reference scan —
-clip by ``max``/``min``, advance the merge cursor by running ``max``, and
+Bit-reproducibility contract (docs/sim-internals.md): the merge performs
+**exactly** the same IEEE-754 operations as the original scan — clip by
+``max``/``min``, advance the merge cursor by running ``max``, and
 accumulate positive segment lengths left-to-right in the same
-``(start, end)`` lexicographic order — so their results are bit-identical,
-not merely close. ``_busy_time_reference`` retains the original scan as
-the pinned oracle; without NumPy every query takes the scalar path.
+``(start, end)`` lexicographic order — so its results are bit-identical,
+not merely close, to :func:`repro.oracles.busy_time_reference`.
 
 Interval ordering: intervals carry a per-trace ``seq`` assigned at record
 time, and compare by ``(start, end, seq)`` — a total order defined purely
@@ -41,11 +37,6 @@ from __future__ import annotations
 import sys
 from collections import defaultdict
 from dataclasses import dataclass, field
-
-try:  # NumPy backs the vectorized fast path; the trace works without it.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via _busy_time_reference
-    np = None
 
 
 class Interval:
@@ -116,19 +107,9 @@ class Interval:
         )
 
 
-#: candidate-set size at which a window query switches from the scalar
-#: merge to the NumPy batch: below this, fixed per-call array overhead
-#: outweighs the vector win (both paths are bit-identical to the
-#: reference scan, so the cutoff is purely a speed knob).
-_VECTOR_CUTOFF = 64
-
-
 class _EngineTimeline:
-    """Columnar (start, end) store for one engine's intervals.
-
-    Append-only, in record order: Python lists always, plus mirrored
-    capacity-doubling NumPy buffers (when NumPy is available) for the
-    vectorized batch path.
+    """Columnar (start, end) store for one engine's intervals: two
+    append-only lists in record order.
 
     Window queries keep a *monotone skip pointer*: the power manager asks
     about consecutive non-overlapping windows with ever-increasing
@@ -140,48 +121,24 @@ class _EngineTimeline:
     changes the candidate set, only how fast it is found.
     """
 
-    __slots__ = (
-        "size", "_starts", "_ends", "_np_starts", "_np_ends",
-        "_skip", "_skip_start", "scalar_queries", "vector_queries",
-    )
+    __slots__ = ("_starts", "_ends", "_skip", "_skip_start")
 
     def __init__(self) -> None:
-        self.size = 0
         self._starts: list[float] = []
         self._ends: list[float] = []
         self._skip = 0
         self._skip_start = 0.0
-        self.scalar_queries = 0
-        self.vector_queries = 0
-        if np is not None:
-            self._np_starts = np.empty(16, dtype=np.float64)
-            self._np_ends = np.empty(16, dtype=np.float64)
-        else:  # pragma: no cover - no-NumPy fallback
-            self._np_starts = None
-            self._np_ends = None
 
     def add(self, start: float, end: float) -> None:
         self._starts.append(start)
         self._ends.append(end)
-        size = self.size
-        if self._np_starts is not None:
-            if size == len(self._np_starts):
-                grown = np.empty(size * 2, dtype=np.float64)
-                grown[:size] = self._np_starts
-                self._np_starts = grown
-                grown = np.empty(size * 2, dtype=np.float64)
-                grown[:size] = self._np_ends
-                self._np_ends = grown
-            self._np_starts[size] = start
-            self._np_ends[size] = end
-        self.size = size + 1
 
     def busy_time(self, start: float, end: float) -> float:
         """Merged busy time inside [start, end) — bit-identical to the
         reference scan (same clip, same sort order, same left-to-right
-        accumulation), via either the scalar or the NumPy batch path."""
-        size = self.size
+        accumulation) over the intervals the skip pointer leaves."""
         ends = self._ends
+        size = len(ends)
         if start >= self._skip_start:
             ptr = self._skip
         else:
@@ -192,10 +149,6 @@ class _EngineTimeline:
         self._skip_start = start
         if ptr == size:
             return 0.0
-        if np is not None and size - ptr > _VECTOR_CUTOFF:
-            return self._busy_time_vector(ptr, start, end)
-        # Scalar path: the reference merge over the surviving candidates.
-        self.scalar_queries += 1
         starts = self._starts
         clipped = []
         for index in range(ptr, size):
@@ -215,33 +168,6 @@ class _EngineTimeline:
             if hi > lo:
                 busy += hi - lo
                 cursor = hi
-        return busy
-
-    def _busy_time_vector(self, ptr: int, start: float, end: float) -> float:
-        """NumPy batch: overlap test, clip, merge as array operations."""
-        self.vector_queries += 1
-        starts = self._np_starts[ptr:self.size]
-        ends = self._np_ends[ptr:self.size]
-        mask = (ends > start) & (starts < end)
-        if not mask.any():
-            return 0.0
-        los = np.maximum(starts[mask], start)
-        his = np.minimum(ends[mask], end)
-        order = np.lexsort((his, los))  # == sorted(zip(los, his)), stable
-        los = los[order]
-        his = his[order]
-        # reference merge: cursor_i = max(window start, max(his[:i])) —
-        # uncounted segments never move the cursor backwards, so the
-        # running max is exactly the reference cursor.
-        cursor = np.empty_like(his)
-        cursor[0] = start
-        if len(his) > 1:
-            np.maximum.accumulate(his[:-1], out=cursor[1:])
-        effective = np.maximum(los, cursor)
-        gains = his - effective
-        busy = 0.0
-        for gain in gains[gains > 0.0].tolist():
-            busy += gain
         return busy
 
 
@@ -282,36 +208,6 @@ class Trace:
 
     def engines(self) -> set[str]:
         return set(self._timelines)
-
-    def query_stats(self) -> dict[str, int]:
-        """How window queries were served: scalar merges vs NumPy batches.
-
-        The ``repro profile`` engine table derives its vectorized-batch hit
-        rate from these (see docs/sim-internals.md).
-        """
-        scalar = sum(t.scalar_queries for t in self._timelines.values())
-        vector = sum(t.vector_queries for t in self._timelines.values())
-        return {"scalar_queries": scalar, "vector_queries": vector}
-
-    def _busy_time_reference(
-        self, engine: str, start: float, end: float
-    ) -> float:
-        """The pinned pure-Python scan the vectorized query must match."""
-        clipped = sorted(
-            (max(interval.start, start), min(interval.end, end))
-            for interval in self.intervals
-            if interval.engine == engine
-            and interval.end > start
-            and interval.start < end
-        )
-        busy = 0.0
-        cursor = start
-        for lo, hi in clipped:
-            lo = max(lo, cursor)
-            if hi > lo:
-                busy += hi - lo
-                cursor = hi
-        return busy
 
     def busy_time(self, engine: str, start: float = 0.0, end: float | None = None) -> float:
         """Total time ``engine`` spent busy inside the [start, end) window.

@@ -8,10 +8,13 @@ from repro.dma.sparse import (
     CompressedTensor,
     SparseCodecError,
     SparseFormat,
+    _compress_rle,
+    _decompress_rle,
     best_format,
     compress,
     decompress,
 )
+from repro.oracles import compress_rle_loop, decompress_rle_loop
 
 
 def _sparse_tensor(shape, density, seed=0):
@@ -191,17 +194,13 @@ class TestRleFastPathPinning:
 
     @pytest.mark.parametrize("flat", CASES, ids=range(len(CASES)))
     def test_compress_byte_identical(self, flat):
-        from repro.dma.sparse import _compress_rle, _compress_rle_loop
-
-        assert _compress_rle(flat) == _compress_rle_loop(flat)
+        assert _compress_rle(flat) == compress_rle_loop(flat)
 
     @pytest.mark.parametrize("flat", CASES, ids=range(len(CASES)))
     def test_decompress_identical(self, flat):
-        from repro.dma.sparse import _decompress_rle, _decompress_rle_loop
-
         compressed = compress(flat, SparseFormat.RLE)
         assert np.array_equal(
-            _decompress_rle(compressed), _decompress_rle_loop(compressed)
+            _decompress_rle(compressed), decompress_rle_loop(compressed)
         )
 
     @settings(max_examples=60, deadline=None)
@@ -217,7 +216,5 @@ class TestRleFastPathPinning:
         )
     )
     def test_property_byte_identical(self, values):
-        from repro.dma.sparse import _compress_rle, _compress_rle_loop
-
         flat = np.asarray(values, dtype=np.float32)
-        assert _compress_rle(flat) == _compress_rle_loop(flat)
+        assert _compress_rle(flat) == compress_rle_loop(flat)

@@ -1,4 +1,5 @@
-"""Pins the vectorized ``MatrixEngine.gemm`` to ``gemm_reference``.
+"""Pins the vectorized ``MatrixEngine.gemm`` to the tile loop
+``repro.oracles.gemm_reference``.
 
 The fast path must be observably identical to the per-tile loop: same
 IEEE-754 results bit for bit, same tiles issued, same MAC count, same
@@ -19,6 +20,7 @@ from repro.engines.matrix import (
     MatrixEngine,
     VmmPatternError,
 )
+from repro.oracles import gemm_reference
 from repro.sim.trace import Trace
 
 
@@ -42,7 +44,7 @@ def _run_both(dtype, m, k, n, seed=0, transform="plain", tile_rows=None):
     reference = MatrixEngine(dtype)
     reference.trace = Trace()
     out_fast = fast.gemm(a, b, tile_rows=tile_rows)
-    out_ref = reference.gemm_reference(a, b, tile_rows=tile_rows)
+    out_ref = gemm_reference(reference, a, b, tile_rows=tile_rows)
     return fast, out_fast, reference, out_ref
 
 
@@ -50,6 +52,10 @@ def _assert_identical(fast, out_fast, reference, out_ref):
     # Bit-identical outputs, not approximately equal.
     assert np.array_equal(out_fast, out_ref)
     assert out_fast.dtype == out_ref.dtype
+    _assert_same_state(fast, reference)
+
+
+def _assert_same_state(fast, reference):
     # Identical architectural charges.
     assert fast.vmm_issued == reference.vmm_issued
     assert fast.macs_executed == reference.macs_executed
@@ -112,24 +118,39 @@ def test_unsupported_pattern_raises_with_same_register_state():
         fast.gemm(a, b, tile_rows=3)
     reference = MatrixEngine(DType.FP32)
     with pytest.raises(VmmPatternError):
-        reference.gemm_reference(a, b, tile_rows=3)
+        gemm_reference(reference, a, b, tile_rows=3)
     assert np.array_equal(fast.matrix_registers[0], reference.matrix_registers[0])
     assert fast.vmm_issued == reference.vmm_issued == 0
 
 
 def test_empty_dimension_matches_reference():
     """Degenerate extents behave exactly like the loop: m == 0 and n == 0
-    return empty results; k == 0 raises (the loop never fills an
-    accumulator before reading it back)."""
-    for m, k, n in [(0, 4, 4), (4, 4, 0)]:
-        fast, out_fast, reference, out_ref = _run_both(DType.FP16, m, k, n)
-        assert out_fast.shape == out_ref.shape == (m, n)
-        assert fast.vmm_issued == reference.vmm_issued
-    a, b = _operands(4, 0, 4)
-    with pytest.raises(VmmPatternError):
-        MatrixEngine(DType.FP16).gemm(a, b)
-    with pytest.raises(VmmPatternError):
-        MatrixEngine(DType.FP16).gemm_reference(a, b)
+    return empty results and leave the register file alone; k == 0 clears
+    accumulator 0 and raises reading it back (the loop never fills an
+    accumulator before reading it)."""
+    for m, k, n in [(0, 4, 4), (4, 4, 0), (4, 0, 4)]:
+        a, b = _operands(m, k, n)
+        outcomes = []
+        for gemm in (MatrixEngine.gemm, gemm_reference):
+            engine = MatrixEngine(DType.FP16)
+            engine.trace = Trace()
+            # live accumulators make a degenerate call's side effects visible
+            engine.accumulators = {0: np.ones(32), 1: np.full(32, 2.0)}
+            try:
+                outcome = gemm(engine, a, b)
+            except VmmPatternError as error:
+                outcome = error
+            outcomes.append((engine, outcome))
+        (fast, out_fast), (reference, out_ref) = outcomes
+        if k == 0:
+            assert isinstance(out_ref, VmmPatternError)
+            assert type(out_fast) is type(out_ref)
+            assert str(out_fast) == str(out_ref) == "accumulator 0 has no value"
+            assert set(fast.accumulators) == {1}
+        else:
+            assert out_fast.shape == out_ref.shape == (m, n)
+            assert np.array_equal(out_fast, out_ref)
+        _assert_same_state(fast, reference)
 
 
 def test_speedup_at_least_20x_on_acceptance_shape():
@@ -143,7 +164,7 @@ def test_speedup_at_least_20x_on_acceptance_shape():
 
     reference = MatrixEngine(DType.FP16)
     start = time.perf_counter()
-    out_ref = reference.gemm_reference(a, b)
+    out_ref = gemm_reference(reference, a, b)
     ref_s = time.perf_counter() - start
 
     assert np.array_equal(out_fast, out_ref)

@@ -324,6 +324,23 @@ class TestFleetIntegration:
             assert row["cap_watts"] <= row["budget_watts"] + 1e-9
             assert row["draw_watts"] <= row["cap_in_force_watts"] + 1e-9
 
+    def test_budget_below_one_idle_floor_sheds_everything(self):
+        """A budget that cannot power even one device parks every active
+        replica; with the whole fleet parked, arrivals shed as
+        ``no-capacity`` instead of queueing on powered-off devices."""
+        config = PowerCapConfig(fleet_budget_watts=30.0)
+        assert config.fleet_budget_watts < config.device_idle_watts
+        report = _run_fleet(powercap=config)
+        stats = report.tenants["t"]
+        assert stats.offered > 0
+        assert stats.served == 0
+        assert stats.shed_no_capacity == stats.offered
+        assert report.power["devices"]
+        assert all(
+            entry["parked_windows"] > 0
+            for entry in report.power["devices"].values()
+        )
+
     def test_power_gauges_exported(self):
         from repro.obs import Observability
 

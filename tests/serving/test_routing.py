@@ -1,7 +1,7 @@
 """Fleet routing fast path: heap/reference equivalence and bounded depth.
 
 The heap router's contract is *byte-identical behavior* to the pinned
-reference scans (`repro.serving.routing.ReferenceRouter`), not merely
+reference scans (`repro.oracles.ReferenceRouter`), not merely
 similar routing quality. Three layers of evidence:
 
 - a seeded 512-replica churn harness drives both routers through the
@@ -25,11 +25,11 @@ from bisect import bisect_right, insort
 import pytest
 
 from repro.chaos import SCENARIOS, run_scenario
+from repro.oracles import ReferenceRouter
 from repro.serving.routing import (
     DepthView,
     HeapRouter,
     PrunedFinishes,
-    ReferenceRouter,
     ReplicaStatus,
     make_router,
     resolve_routing,

@@ -2,7 +2,7 @@
 
 The fast :class:`repro.sim.kernel.Simulator` batches same-timestamp
 wakeups, interns :class:`Timeout` objects and counts dispatches; the
-:class:`repro.sim.kernel_reference.ReferenceSimulator` is the original
+:class:`repro.oracles.ReferenceSimulator` is the original
 one-pop-per-event loop. Both implement the same scheduling contract
 (docs/sim-internals.md): the queue is ordered by ``(time, sequence)``,
 ties resolve in scheduling order, never by object identity. These tests
@@ -11,7 +11,8 @@ enforce the contract two ways:
 - property tests over seeded random process soups (timers, resource
   contention, ``AllOf`` joins, deliberate timestamp ties) must produce
   identical event logs and final clocks on both engines;
-- full executor launches through ``REPRO_SIM_ENGINE`` must produce
+- full executor launches on a card built with the reference injected
+  (``Accelerator(..., sim=ReferenceSimulator())``) must produce
   byte-identical traces, counters and latencies.
 """
 
@@ -21,15 +22,11 @@ import random
 
 import pytest
 
-from repro.sim.kernel import (
-    AllOf,
-    Resource,
-    Simulator,
-    Timeout,
-    make_simulator,
-)
-from repro.sim.kernel_reference import ReferenceSimulator
+from repro.oracles import ReferenceSimulator
+from repro.sim.kernel import AllOf, Resource, Simulator, Timeout
 from repro.sim.trace import Interval
+
+ENGINES = {"fast": Simulator, "reference": ReferenceSimulator}
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +119,7 @@ def test_random_soups_identical_under_run_until(seed):
 
 @pytest.mark.parametrize("engine", ["fast", "reference"])
 def test_same_timestamp_wakeups_resolve_in_scheduling_order(engine):
-    sim = make_simulator(engine)
+    sim = ENGINES[engine]()
     order: list[int] = []
 
     def sleeper(wid: int):
@@ -139,7 +136,7 @@ def test_same_timestamp_wakeups_resolve_in_scheduling_order(engine):
 def test_interleaved_timer_ties_fire_in_scheduling_order(engine):
     """Timers scheduled from different processes at one timestamp fire in
     the order they were scheduled, not in object-identity order."""
-    sim = make_simulator(engine)
+    sim = ENGINES[engine]()
     fired: list[str] = []
 
     def scheduler(tag: str):
@@ -184,12 +181,14 @@ def test_trace_record_assigns_monotonic_seq():
 # ---------------------------------------------------------------------------
 
 
-def _launch(model: str):
-    """One cold-device launch; returns everything comparable about it."""
+def _launch(model: str, sim):
+    """One cold i20 launch on ``sim``; returns everything comparable."""
+    from repro.core.accelerator import Accelerator
+    from repro.core.config import dtu2_config
     from repro.models.zoo import build
     from repro.runtime.runtime import Device
 
-    device = Device.open("i20")
+    device = Device(Accelerator(chip=dtu2_config(), sim=sim))
     result = device.launch(device.compile(build(model), batch=1))
     accelerator = device.accelerator
     trace = accelerator.trace
@@ -204,11 +203,12 @@ def _launch(model: str):
 
 
 @pytest.mark.parametrize("model", ["resnet50", "bert_large"])
-def test_full_launch_byte_identical_across_engines(model, monkeypatch):
-    monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
-    fast = _launch(model)
-    monkeypatch.setenv("REPRO_SIM_ENGINE", "reference")
-    reference = _launch(model)
+def test_full_launch_byte_identical_across_engines(model):
+    fast_sim, ref_sim = Simulator(), ReferenceSimulator()
+    fast = _launch(model, fast_sim)
+    reference = _launch(model, ref_sim)
+    # the injected core really ran the launch
+    assert ref_sim.events_dispatched == fast_sim.events_dispatched > 0
     assert fast["latency_ms"] == reference["latency_ms"]
     assert fast["now"] == reference["now"]
     assert fast["counters"] == reference["counters"]

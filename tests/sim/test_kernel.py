@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import pickle
+
 import pytest
 
 from repro.sim import AllOf, Resource, SimulationError, Simulator, Timeout
@@ -26,6 +28,15 @@ def test_single_timeout_advances_clock():
 def test_negative_timeout_rejected():
     with pytest.raises(ValueError):
         Timeout(-1.0)
+
+
+@pytest.mark.parametrize("delay", [0.0, 2.5, 1e9])
+def test_timeout_unpickles_to_the_interned_instance(delay, monkeypatch):
+    """``Timeout.__reduce__`` re-interns: a pickled timeout comes back as
+    the receiving process's pooled object, not a private copy."""
+    # an empty pool: earlier tests may have filled the bounded one
+    monkeypatch.setattr(Timeout, "_pool", {})
+    assert pickle.loads(pickle.dumps(Timeout(delay))) is Timeout(delay)
 
 
 def test_sequential_timeouts_accumulate():

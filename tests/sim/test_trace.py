@@ -1,7 +1,9 @@
 """Unit tests for the execution trace."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.oracles import busy_time_reference
 from repro.sim import Interval, Trace
 
 
@@ -104,3 +106,46 @@ def test_engines_listing():
     trace.record("a", "x", 0.0, 1.0)
     trace.record("b", "x", 0.0, 1.0)
     assert trace.engines() == {"a", "b"}
+
+
+_ENGINES = ("mxu", "vpu", "dma")
+_TIMES = st.one_of(
+    st.integers(0, 40).map(float),  # grid points: touching intervals
+    st.floats(0.0, 40.0),  # arbitrary IEEE-754 endpoints
+)
+_LENGTHS = st.one_of(
+    st.just(0.0), st.integers(1, 8).map(float), st.floats(0.0, 8.0)
+)
+_STEPS = st.one_of(st.integers(-3, 3).map(float), st.floats(-10.0, 10.0))
+_RECORD = st.tuples(st.just("record"), st.sampled_from(_ENGINES), _TIMES, _LENGTHS)
+_QUERY = st.tuples(
+    st.just("query"), st.sampled_from(_ENGINES + ("idle",)), _STEPS, _LENGTHS
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=st.lists(st.one_of(_RECORD, _QUERY), max_size=60), monotone=st.booleans())
+def test_busy_time_equals_reference_scan(ops, monotone):
+    """The skip-pointer merge is bit-identical to the full scan.
+
+    Records and window queries interleave the way the power loop issues
+    them. With ``monotone`` the window starts never decrease (the skip
+    pointer only advances); otherwise negative steps move a start
+    backwards and reset it. Zero-length intervals, touching intervals,
+    empty (zero-width) windows and engines with no intervals all occur.
+    """
+    trace = Trace()
+    start = 0.0
+    for op, engine, value, length in ops:
+        if op == "record":
+            trace.record(engine, "k", value, value + length)
+            continue
+        start = max(0.0, start + (abs(value) if monotone else value))
+        end = start + length
+        assert trace.busy_time(engine, start, end) == busy_time_reference(
+            trace, engine, start, end
+        )
+    for engine in _ENGINES:
+        assert trace.busy_time(engine) == busy_time_reference(
+            trace, engine, 0.0, trace.end_time()
+        )

@@ -6,8 +6,9 @@ schema-versioned ``BENCH_<n>.json`` report (see
 ``benchmarks/perf/schema.json``):
 
 - **micro** — vectorized engine fast paths against their pinned reference
-  loops: ``MatrixEngine.gemm`` vs ``gemm_reference`` and the RLE sparse
-  codec vs its element-at-a-time encoder/decoder.
+  loops in :mod:`repro.oracles`: ``MatrixEngine.gemm`` vs
+  ``gemm_reference`` and the RLE sparse codec vs its element-at-a-time
+  encoder/decoder.
 - **e2e** — compile + launch of model-zoo networks, including cold/warm
   compile wall time through the content-addressed
   :class:`repro.caching.CompileCache`.
@@ -77,6 +78,7 @@ def bench_gemm(quick: bool) -> dict:
     """Fast-path vs reference-loop GEMM on the acceptance shape."""
     from repro.core.datatypes import DType
     from repro.engines.matrix import MatrixEngine
+    from repro.oracles import gemm_reference
 
     m, k, n = 64, 256, 256
     rng = np.random.default_rng(7)
@@ -90,7 +92,7 @@ def bench_gemm(quick: bool) -> dict:
 
     reference = MatrixEngine(DType.FP16)
     start = time.perf_counter()
-    out_ref = reference.gemm_reference(a, b)
+    out_ref = gemm_reference(reference, a, b)
     ref_s = time.perf_counter() - start
 
     assert np.array_equal(out_fast, out_ref), "gemm fast path diverged"
@@ -111,6 +113,7 @@ def bench_gemm(quick: bool) -> dict:
 
 def bench_rle(quick: bool) -> dict:
     """Vectorized vs loop RLE codec on a post-ReLU-like sparse tensor."""
+    from repro import oracles
     from repro.dma import sparse
 
     size = 200_000 if quick else 1_000_000
@@ -124,8 +127,8 @@ def bench_rle(quick: bool) -> dict:
     fast_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    loop_payload = sparse._compress_rle_loop(flat)
-    sparse._decompress_rle_loop(compressed)
+    loop_payload = oracles.compress_rle_loop(flat)
+    oracles.decompress_rle_loop(compressed)
     loop_s = time.perf_counter() - start
 
     assert loop_payload == compressed.payload, "RLE fast path diverged"
