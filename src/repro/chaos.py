@@ -284,10 +284,10 @@ def _check_obs_consistency(scenario, report, registry) -> list[str]:
             "obs-consistency: fleet_healthy_replicas gauge disagrees with "
             f"report final_healthy={report.final_healthy}"
         )
-    requests = registry.get("fleet_requests_total")
+    requests = registry.get("serving_requests_total")
     for name, stats in sorted(report.tenants.items()):
         for status, expected in (
-            ("served", stats.served),
+            ("ok", stats.served),
             ("failed", stats.failed),
             ("shed", stats.shed),
         ):
@@ -297,7 +297,7 @@ def _check_obs_consistency(scenario, report, registry) -> list[str]:
             )
             if actual != float(expected):
                 violations.append(
-                    f"obs-consistency: fleet_requests_total"
+                    f"obs-consistency: serving_requests_total"
                     f"{{tenant={name},status={status}}} exported {actual} "
                     f"but the report says {expected}"
                 )

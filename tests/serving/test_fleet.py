@@ -290,10 +290,10 @@ class TestFleetObservability:
             == report.quarantines
         )
         for name, stats in report.tenants.items():
-            assert registry.get("fleet_requests_total").value(
-                tenant=name, status="served"
+            assert registry.get("serving_requests_total").value(
+                tenant=name, status="ok"
             ) == stats.served
-            assert registry.get("fleet_availability").value(
+            assert registry.get("serving_availability").value(
                 tenant=name
             ) == stats.availability
 
