@@ -49,3 +49,25 @@ class TestCommands:
         assert main(["evaluate"]) == 0
         out = capsys.readouterr().out
         assert "GeoMean" in out and "SRResnet" in out
+
+    def test_models(self, capsys):
+        assert main(["models"]) == 0
+        out = capsys.readouterr().out
+        assert "Kernels" in out and "resnet50" in out and "bert" in out
+
+    def test_faults(self, capsys):
+        assert main(["faults", "--duration", "0.05"]) == 0
+        out = capsys.readouterr().out
+        assert "faults injected" in out and "avail" in out
+
+    def test_fuzz_list(self, capsys):
+        assert main(["fuzz", "--list"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("mutations:") and "cycle" in out
+
+    def test_loadgen_json_is_byte_stable(self, capsys):
+        assert main(["loadgen", "--quick", "--json"]) == 0
+        first = capsys.readouterr().out
+        assert main(["loadgen", "--quick", "--json"]) == 0
+        assert capsys.readouterr().out == first
+        assert '"classes"' in first and '"requests"' in first
