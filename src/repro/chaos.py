@@ -43,9 +43,13 @@ from repro.serving.fleet import FleetConfig, FleetManager, FleetReport
 from repro.serving.loadgen import LoadSpec, generate_load
 from repro.serving.powercap import PowerCapConfig, PowerCapPhase
 from repro.serving.sdc import SdcConfig
-from repro.sim.parallel import prewarm_measurements, run_sharded
-from repro.serving.server import RasConfig, TenantConfig
+from repro.serving.server import (
+    RasConfig,
+    TenantConfig,
+    measure_service_time_ns,
+)
 from repro.serving.workload import Request, TrafficPattern, generate_trace
+from repro.sim.parallel import run_sharded
 
 __all__ = [
     "ChaosScenario",
@@ -1258,20 +1262,34 @@ def _sdc_control(
     return control
 
 
-def _prewarm_compiles(device_models) -> None:
-    """Lower each (device, model) once so the compile memo is warm.
+def _warm_parent_caches(names: list[str], measured: bool) -> None:
+    """Fill the process-wide memos the selected scenarios will read.
 
     In a serial suite the first scenario pays each model's cold compile
-    and every later fleet hits :data:`repro.caching.COMPILE_CACHE`.
-    Sharded workers fork from this process, so warming the cache *here*
-    restores that sharing — compiles are content-addressed and
-    deterministic, so nothing observable changes.
+    (and, with ``measured``, each tenant's service-time measurement) and
+    every later fleet hits :data:`repro.caching.COMPILE_CACHE` /
+    :data:`repro.caching.MEASUREMENT_CACHE`. Sharded workers fork from
+    this process, so warming the memos *here* restores that sharing —
+    both are deterministic, so nothing observable changes, and every
+    shard sees cache hits only.
     """
     from repro.models.zoo import build
     from repro.runtime.runtime import Device
 
-    for device_name, model in device_models:
+    tenants = [
+        (SCENARIOS[name].fleet.device, tenant)
+        for name in names
+        for tenant in SCENARIOS[name].tenants
+    ]
+    for device_name, model in sorted(
+        {(device, tenant.model) for device, tenant in tenants}
+    ):
         Device.open(device_name).compile(build(model), batch=1)
+    if measured:
+        for model, groups in sorted(
+            {(tenant.model, tenant.groups) for _, tenant in tenants}
+        ):
+            measure_service_time_ns(model, groups)
 
 
 def _run_scenario_task(task) -> ScenarioResult:
@@ -1305,28 +1323,7 @@ def run_suite(
                 f"unknown chaos scenario {name!r}; "
                 f"choose from {sorted(SCENARIOS)}"
             )
-    _prewarm_compiles(
-        sorted(
-            {
-                (SCENARIOS[name].fleet.device, tenant.model)
-                for name in selected
-                for tenant in SCENARIOS[name].tenants
-            }
-        )
-    )
-    if measured:
-        # Warm the measurement memo once in the parent; otherwise every
-        # shard re-measures the same tenant models from scratch.
-        prewarm_measurements(
-            sorted(
-                {
-                    (tenant.model, tenant.groups)
-                    for name in selected
-                    for tenant in SCENARIOS[name].tenants
-                }
-            ),
-            workers=workers,
-        )
+    _warm_parent_caches(selected, measured)
     suite = SuiteResult(seed=seed)
     suite.results = run_sharded(
         _run_scenario_task,

@@ -294,9 +294,6 @@ def _cmd_profile(args) -> int:
     # Engine-core table: dispatch + fast-path accounting the executor
     # exported after the launch (docs/sim-internals.md). Pool reuse is
     # process-wide Timeout interning.
-    from repro.sim.parallel import export_shard_metrics
-
-    export_shard_metrics(registry)
     dispatched = registry.get("sim_events_dispatched")
     steps = registry.get("sim_time_steps")
     pool_hits = registry.get("sim_timeout_pool_hits")
@@ -314,11 +311,6 @@ def _cmd_profile(args) -> int:
           f"{steps.value(engine=engine) if steps else 0.0:>10.0f}")
     pool_rate = hits / (hits + misses) if hits + misses else 0.0
     print(f"{'timeout pool reuse rate':<28} {pool_rate:>10.1%}")
-    shard_wall = registry.get("sim_shard_wall_seconds")
-    if shard_wall is not None:
-        for labels, value in shard_wall.samples():
-            print(f"{'shard ' + labels['shard'] + ' wall s':<28} "
-                  f"{value:>10.4f}")
     print()
 
     # Process-wide cache table (compile + measurement), mirrored into the

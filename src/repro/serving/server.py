@@ -300,7 +300,6 @@ def measure_service_time_ns(
     groups: int,
     obs=None,
     fault_plan: FaultPlan | None = None,
-    use_cache: bool = True,
 ) -> float:
     """One detailed-simulator run: the per-inference service time.
 
@@ -317,12 +316,9 @@ def measure_service_time_ns(
     deterministic, so re-measuring (model, groups) always reproduces the
     cached latency. Measurements with a hub or fault plan attached bypass
     the memo: their spans and fault timelines are the point of running
-    them. ``use_cache=False`` bypasses the memo in both directions — the
-    sharded pre-warm (:func:`repro.sim.parallel.prewarm_measurements`)
-    measures in worker processes this way and seeds the parent's memo
-    itself, keeping cache statistics identical to a serial run.
+    them.
     """
-    memoizable = use_cache and obs is None and fault_plan is None
+    memoizable = obs is None and fault_plan is None
     if memoizable:
         cached = MEASUREMENT_CACHE.get(MeasurementCache.key_for(model, groups))
         if cached is not None:
@@ -365,19 +361,8 @@ def measure_service_times(
 ) -> set[str]:
     """Fill ``times`` in place with a measured service time for every
     tenant it lacks; returns the names of the tenants measured.
-
-    Plain measurements (no hub, no fault plan) are memoizable, hence
-    independent simulations: the memo is warmed across worker processes
-    first (bit-identical to serial — see :mod:`repro.sim.parallel`), so
-    the measurements below are pure cache hits.
     """
     missing = [tenant for tenant in tenants if tenant.name not in times]
-    if obs is None and fault_plan is None:
-        from repro.sim.parallel import prewarm_measurements
-
-        prewarm_measurements(
-            (tenant.model, tenant.groups) for tenant in missing
-        )
     for tenant in missing:
         times[tenant.name] = measure_service_time_ns(
             tenant.model, tenant.groups, obs=obs, fault_plan=fault_plan

@@ -3,10 +3,11 @@
 The event core (:mod:`repro.sim.kernel`) is single-threaded by design —
 one heap, one clock, strict ``(time, seq)`` order. Fleet- and
 serving-layer workloads, however, are collections of *independent*
-simulations: each chaos scenario derives its own seed stream, each
-service-time measurement builds its own accelerator. This module runs
-such collections across forked worker processes and merges the results
-back in submission order.
+simulations: each chaos scenario derives its own seed stream. This
+module runs such collections across forked worker processes and merges
+the results back in submission order. The chaos suite
+(:func:`repro.chaos.run_suite`) is the one caller; it is where sharding
+was measured to pay (docs/performance.md).
 
 Bit-reproducibility contract (see docs/sim-internals.md):
 
@@ -17,8 +18,8 @@ Bit-reproducibility contract (see docs/sim-internals.md):
   completion order, so the merged list is byte-identical to the serial
   list — only wall-clock changes;
 - anything that would break that contract (platforms without ``fork``,
-  a single worker, one task, ``REPRO_SIM_WORKERS=1``) degrades to plain
-  serial execution of the identical code path.
+  a single worker, one task) degrades to plain serial execution of the
+  identical code path.
 
 Workers are plain ``os.fork`` children writing one pickle to a pipe and
 exiting via ``os._exit`` — no pool machinery, no spawn-mode pickling of
@@ -38,14 +39,8 @@ __all__ = [
     "ShardError",
     "ShardStats",
     "default_workers",
-    "export_shard_metrics",
-    "prewarm_measurements",
     "run_sharded",
-    "run_sharded_with_stats",
 ]
-
-#: Environment override for the worker count; ``1`` forces serial.
-ENV_WORKERS = "REPRO_SIM_WORKERS"
 
 #: Soft cap when sizing from ``os.cpu_count`` — sharded simulations are
 #: CPU-bound, so oversubscription only adds scheduler noise.
@@ -56,30 +51,13 @@ class ShardError(RuntimeError):
     """A worker process failed; carries the worker's traceback text."""
 
 
-#: Stats of the most recent sharded run in this process, for the
-#: ``repro profile`` engine table (:func:`export_shard_metrics`).
+#: Stats of the most recent sharded run in this process.
 LAST_SHARD_STATS: "ShardStats | None" = None
-
-
-def export_shard_metrics(registry) -> None:
-    """Mirror the last sharded run into a metrics registry as gauges."""
-    stats = LAST_SHARD_STATS
-    if stats is None:
-        return
-    registry.gauge(
-        "sim_shard_workers", "worker count of the last sharded run"
-    ).set(stats.workers)
-    wall = registry.gauge(
-        "sim_shard_wall_seconds",
-        "per-shard wall time of the last sharded run", unit="seconds",
-    )
-    for shard in stats.shards:
-        wall.set(shard["wall_seconds"], shard=str(shard["worker"]))
 
 
 @dataclass
 class ShardStats:
-    """How one sharded run was executed (the ``repro profile`` table)."""
+    """How one sharded run was executed: worker count and shard walls."""
 
     workers: int = 1
     forked: bool = False
@@ -94,20 +72,10 @@ class ShardStats:
 def default_workers(tasks: int, workers: int | None = None) -> int:
     """Resolve the worker count for ``tasks`` independent tasks.
 
-    Explicit ``workers`` wins, then the ``REPRO_SIM_WORKERS`` environment
-    variable, then ``min(tasks, cpu_count, DEFAULT_MAX_WORKERS)``. The
-    result is clamped to ``[1, tasks]`` and collapses to 1 when the
-    platform cannot fork.
+    Explicit ``workers`` wins, else ``min(tasks, cpu_count,
+    DEFAULT_MAX_WORKERS)``. The result is clamped to ``[1, tasks]`` and
+    collapses to 1 when the platform cannot fork.
     """
-    if workers is None:
-        env = os.environ.get(ENV_WORKERS, "").strip()
-        if env:
-            try:
-                workers = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"{ENV_WORKERS}={env!r} is not an integer"
-                ) from None
     if workers is None:
         try:
             cpus = len(os.sched_getaffinity(0))
@@ -141,19 +109,20 @@ def _child_main(fn, indexed_items, write_fd: int) -> None:
     os._exit(0)
 
 
-def run_sharded_with_stats(fn, items, workers: int | None = None):
-    """Map ``fn`` over ``items``; returns ``(results, ShardStats)``.
+def run_sharded(fn, items, workers: int | None = None) -> list:
+    """Map ``fn`` over ``items`` across forked workers.
 
     Results are in submission order regardless of shard completion
-    order. Tasks are dealt round-robin across shards so heterogeneous
-    task costs balance. Serial fallback (1 worker / 1 task / no fork)
-    runs the identical ``[fn(item) for item in items]`` path.
+    order. Tasks are dealt round-robin across shards. Serial fallback
+    (1 worker / 1 task / no fork) runs the identical
+    ``[fn(item) for item in items]`` path. How the run was executed is
+    left in :data:`LAST_SHARD_STATS`.
     """
     global LAST_SHARD_STATS
     items = list(items)
     stats = ShardStats()
     if not items:
-        return [], stats
+        return []
     LAST_SHARD_STATS = stats
     count = default_workers(len(items), workers)
     stats.workers = count
@@ -167,7 +136,7 @@ def run_sharded_with_stats(fn, items, workers: int | None = None):
                 "wall_seconds": time.perf_counter() - started,
             }
         )
-        return results, stats
+        return results
 
     stats.forked = True
     indexed = list(enumerate(items))
@@ -210,64 +179,4 @@ def run_sharded_with_stats(fn, items, workers: int | None = None):
         raise ShardError(
             f"sharded worker failed: {summary}\n{trace_text}".rstrip()
         )
-    return results, stats
-
-
-def run_sharded(fn, items, workers: int | None = None):
-    """Like :func:`run_sharded_with_stats` but returns results only."""
-    results, _stats = run_sharded_with_stats(fn, items, workers)
     return results
-
-
-def _measure_spec(spec):
-    """Worker task: one (model, groups) detailed-simulator measurement.
-
-    The memo is bypassed on purpose: the worker's cache is a forked
-    throwaway copy, and on the serial fallback the caller does the
-    cache bookkeeping itself — double-counting a lookup here would make
-    sharded and serial cache statistics diverge.
-    """
-    from repro.serving.server import measure_service_time_ns
-
-    model, groups = spec
-    return measure_service_time_ns(model, groups, use_cache=False)
-
-
-def prewarm_measurements(
-    specs, workers: int | None = None
-) -> dict[tuple[str, int], float]:
-    """Fill the measurement memo for ``(model, groups)`` specs in parallel.
-
-    Servers and fleets measure tenants one after another; each
-    measurement is an independent simulation, so the cold ones can run
-    in worker processes. Results land in
-    :data:`repro.caching.MEASUREMENT_CACHE` in the *parent*, exactly as
-    serial measurement would have left them (the measurement is
-    deterministic — see its docstring) and with the same statistics:
-    one recorded miss per cold spec, regardless of where it ran.
-    Returns ``spec -> latency_ns`` for the specs this call measured.
-    """
-    from repro.caching import MEASUREMENT_CACHE, MeasurementCache
-
-    ordered: list[tuple[str, int]] = []
-    for model, groups in specs:
-        spec = (model, int(groups))
-        if spec not in ordered:
-            ordered.append(spec)
-    warmed: dict[tuple[str, int], float] = {}
-    todo: list[tuple[str, int]] = []
-    for spec in ordered:
-        key = MeasurementCache.key_for(*spec)
-        if key in MEASUREMENT_CACHE:
-            # Deliberately not a stats-counting get: the caller's own
-            # measure_service_time_ns call right after us records the hit.
-            continue
-        todo.append(spec)
-    if todo:
-        for spec, latency_ns in zip(todo, run_sharded(_measure_spec, todo, workers)):
-            MEASUREMENT_CACHE.put(MeasurementCache.key_for(*spec), latency_ns)
-            # The membership probe above was this spec's cold lookup;
-            # record it so sharded and serial stats stay identical.
-            MEASUREMENT_CACHE.stats.misses += 1
-            warmed[spec] = latency_ns
-    return warmed

@@ -28,8 +28,7 @@ not merely close, to :func:`repro.oracles.busy_time_reference`.
 Interval ordering: intervals carry a per-trace ``seq`` assigned at record
 time, and compare by ``(start, end, seq)`` — a total order defined purely
 by time and sequence, never by object identity, so sorting or merging
-interval streams (e.g. the sharded parallel runner's trace merge) is
-deterministic across processes and runs.
+interval streams is deterministic across processes and runs.
 """
 
 from __future__ import annotations

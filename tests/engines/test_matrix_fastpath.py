@@ -8,6 +8,7 @@ behavior on unsupported patterns. Anything less would let a performance
 change silently alter the architectural model.
 """
 
+import statistics
 import time
 
 import numpy as np
@@ -153,19 +154,27 @@ def test_empty_dimension_matches_reference():
         _assert_same_state(fast, reference)
 
 
+def _median_wall(fn, runs=3):
+    """Median wall seconds of ``runs`` calls after one warm-up call, plus
+    the last call's result: a single shot reads ±30–45% under host load."""
+    result = fn()
+    walls = []
+    for _ in range(runs):
+        start = time.perf_counter()
+        result = fn()
+        walls.append(time.perf_counter() - start)
+    return statistics.median(walls), result
+
+
 def test_speedup_at_least_20x_on_acceptance_shape():
     """ISSUE acceptance: >= 20x on 64x256x256 with bit-identical results."""
     a, b = _operands(64, 256, 256, seed=7)
 
     fast = MatrixEngine(DType.FP16)
-    start = time.perf_counter()
-    out_fast = fast.gemm(a, b)
-    fast_s = time.perf_counter() - start
+    fast_s, out_fast = _median_wall(lambda: fast.gemm(a, b))
 
     reference = MatrixEngine(DType.FP16)
-    start = time.perf_counter()
-    out_ref = gemm_reference(reference, a, b)
-    ref_s = time.perf_counter() - start
+    ref_s, out_ref = _median_wall(lambda: gemm_reference(reference, a, b))
 
     assert np.array_equal(out_fast, out_ref)
     assert fast.vmm_issued == reference.vmm_issued

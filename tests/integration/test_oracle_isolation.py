@@ -54,7 +54,6 @@ def test_production_paths_never_import_the_oracles():
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
     )
-    env["REPRO_SIM_WORKERS"] = "1"  # measure in-process, no forked workers
     result = subprocess.run(
         [sys.executable, "-c", SCRIPT],
         env=env, capture_output=True, text=True, timeout=300,

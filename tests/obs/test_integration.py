@@ -180,25 +180,11 @@ class TestServingThreading:
 
 
 class TestCli:
-    def test_profile_prints_category_and_engine_tables(
-        self, capsys, monkeypatch
-    ):
-        from repro.sim import parallel
-
-        # A two-shard run earlier in the process: one row per shard.
-        shards = [
-            {"worker": worker, "items": 1, "wall_seconds": 0.5}
-            for worker in (0, 1)
-        ]
-        monkeypatch.setattr(
-            parallel, "LAST_SHARD_STATS",
-            parallel.ShardStats(workers=2, forked=True, shards=shards),
-        )
+    def test_profile_prints_category_and_engine_tables(self, capsys):
         assert main(["profile", "resnet50", "--groups", "3"]) == 0
         out = capsys.readouterr().out
         assert "category" in out and "conv" in out
         assert "engine" in out and "core" in out and "dma" in out
-        assert "shard 0 wall s" in out and "shard 1 wall s" in out
 
     def test_profile_unknown_model(self, capsys):
         assert main(["profile", "alexnet"]) == 2

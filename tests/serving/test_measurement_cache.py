@@ -1,10 +1,13 @@
 """Measurement memoization + degraded-mode guards (docs/performance.md)."""
 
+import os
+
 import pytest
 
 from repro.caching import MEASUREMENT_CACHE, reset_global_caches
 from repro.obs import Observability
 from repro.serving import (
+    FleetManager,
     InferenceServer,
     NoHealthyGroupsError,
     TenantConfig,
@@ -81,6 +84,28 @@ class TestMeasurementMemo:
         spans = [s for s in obs.tracer.spans if s.name == "measure:resnet50x4"]
         assert spans, "observed measurement emitted no span"
         assert value == measure_service_time_ns("resnet50", 4)
+
+
+class TestNoForkInConstructors:
+    """Servers and fleets measure cold tenants serially, in-process."""
+
+    @pytest.mark.parametrize("front_end", [InferenceServer, FleetManager])
+    def test_cold_tenants_measure_without_forking(self, monkeypatch, front_end):
+        def no_fork():
+            raise AssertionError("constructor forked")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fork", no_fork)
+            built = front_end(TENANTS)
+        assert MEASUREMENT_CACHE.stats.misses == len(TENANTS)
+        assert MEASUREMENT_CACHE.stats.hits == 0
+
+        reset_global_caches()
+        fresh = {
+            tenant.name: measure_service_time_ns(tenant.model, tenant.groups)
+            for tenant in TENANTS
+        }
+        assert built.service_times_ns == fresh
 
 
 class TestNoHealthyGroupsGuard:

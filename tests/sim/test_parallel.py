@@ -18,9 +18,7 @@ from repro.sim import parallel
 from repro.sim.parallel import (
     ShardError,
     default_workers,
-    prewarm_measurements,
     run_sharded,
-    run_sharded_with_stats,
 )
 
 
@@ -43,26 +41,11 @@ def _boom(value: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def test_default_workers_explicit_wins(monkeypatch):
-    monkeypatch.setenv(parallel.ENV_WORKERS, "7")
+def test_default_workers_explicit_wins():
     assert default_workers(10, workers=3) == 3
 
 
-def test_default_workers_env_override(monkeypatch):
-    monkeypatch.setenv(parallel.ENV_WORKERS, "4")
-    assert default_workers(10) == 4
-    monkeypatch.setenv(parallel.ENV_WORKERS, "1")
-    assert default_workers(10) == 1
-
-
-def test_default_workers_rejects_garbage_env(monkeypatch):
-    monkeypatch.setenv(parallel.ENV_WORKERS, "many")
-    with pytest.raises(ValueError, match="REPRO_SIM_WORKERS"):
-        default_workers(10)
-
-
-def test_default_workers_clamped_to_tasks(monkeypatch):
-    monkeypatch.delenv(parallel.ENV_WORKERS, raising=False)
+def test_default_workers_clamped_to_tasks():
     assert default_workers(2, workers=16) == 2
     assert default_workers(1) == 1
     assert default_workers(5, workers=0) == 1
@@ -101,62 +84,21 @@ def test_worker_exception_surfaces_as_shard_error():
 
 
 def test_shard_stats_account_for_every_item():
-    results, stats = run_sharded_with_stats(_square, list(range(9)), workers=2)
+    results = run_sharded(_square, list(range(9)), workers=2)
+    stats = parallel.LAST_SHARD_STATS
     assert results == [_square(v) for v in range(9)]
     assert stats.workers == 2 and stats.forked
     assert sum(shard["items"] for shard in stats.shards) == 9
     assert all(shard["wall_seconds"] >= 0.0 for shard in stats.shards)
     assert stats.max_shard_wall_seconds >= 0.0
-    assert parallel.LAST_SHARD_STATS is stats
 
 
 def test_serial_stats_single_shard():
-    results, stats = run_sharded_with_stats(_square, [2, 4], workers=1)
+    results = run_sharded(_square, [2, 4], workers=1)
+    stats = parallel.LAST_SHARD_STATS
     assert results == [4, 16]
     assert stats.workers == 1 and not stats.forked
     assert [shard["items"] for shard in stats.shards] == [2]
-
-
-# ---------------------------------------------------------------------------
-# measurement pre-warm: sharded == serial, including cache statistics
-# ---------------------------------------------------------------------------
-
-
-def test_prewarm_matches_serial_measurement_and_stats():
-    from repro.caching import MEASUREMENT_CACHE, reset_global_caches
-    from repro.serving.server import measure_service_time_ns
-
-    specs = [("resnet50", 4), ("resnet50", 2)]
-
-    reset_global_caches()
-    serial = {spec: measure_service_time_ns(*spec) for spec in specs}
-    serial_stats = (
-        MEASUREMENT_CACHE.stats.hits, MEASUREMENT_CACHE.stats.misses
-    )
-
-    reset_global_caches()
-    warmed = prewarm_measurements(specs, workers=2)
-    assert warmed == serial  # bitwise: measurement is deterministic
-    # after the pre-warm, the caller's measurements are pure cache hits
-    replay = {spec: measure_service_time_ns(*spec) for spec in specs}
-    assert replay == serial
-    sharded_stats = (
-        MEASUREMENT_CACHE.stats.hits - len(specs),  # discount replay hits
-        MEASUREMENT_CACHE.stats.misses,
-    )
-    assert sharded_stats == serial_stats
-    reset_global_caches()
-
-
-def test_prewarm_skips_already_cached_specs():
-    from repro.caching import reset_global_caches
-
-    reset_global_caches()
-    first = prewarm_measurements([("resnet50", 4)], workers=1)
-    assert list(first) == [("resnet50", 4)]
-    again = prewarm_measurements([("resnet50", 4)], workers=1)
-    assert again == {}
-    reset_global_caches()
 
 
 # ---------------------------------------------------------------------------
@@ -171,3 +113,27 @@ def test_chaos_suite_sharded_equals_serial():
     serial = run_suite(names=names, seed=7, workers=1)
     sharded = run_suite(names=names, seed=7, workers=2)
     assert serial.to_json() == sharded.to_json()
+
+
+def test_measured_chaos_suite_sharded_equals_serial():
+    from repro.caching import MEASUREMENT_CACHE, reset_global_caches
+    from repro.chaos import SCENARIOS, run_suite
+
+    names = ["baseline", "replica-kill"]
+    specs = {
+        (tenant.model, tenant.groups)
+        for name in names
+        for tenant in SCENARIOS[name].tenants
+    }
+    runs = {}
+    for workers in (1, 2):
+        reset_global_caches()
+        runs[workers] = run_suite(
+            names=names, seed=7, measured=True, workers=workers
+        )
+        # The parent measures each distinct spec once before forking, so
+        # every shard's lookups are hits in its forked copy of the memo.
+        assert MEASUREMENT_CACHE.stats.misses == len(specs)
+        assert len(MEASUREMENT_CACHE) == len(specs)
+    assert runs[1].to_json() == runs[2].to_json()
+    reset_global_caches()

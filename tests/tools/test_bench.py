@@ -124,6 +124,17 @@ class TestRegressionGates:
         assert bench.check_regressions(full, baseline) == []
         assert bench.check_regressions(quick, baseline)
 
+    def test_min_cpus_gate_skipped_on_small_hosts(self, capsys):
+        baseline = {"gates": [{
+            "benchmark": "b", "metric": "speedup", "kind": "min",
+            "value": 1.3, "min_cpus": 2,
+        }]}
+        one_cpu = self._single("b", {"speedup": 1.0, "cpus": 1.0})
+        two_cpus = self._single("b", {"speedup": 1.0, "cpus": 2.0})
+        assert bench.check_regressions(one_cpu, baseline) == []
+        assert "SKIP b:speedup" in capsys.readouterr().out
+        assert bench.check_regressions(two_cpus, baseline)
+
     def test_committed_baseline_gates_are_well_formed(self):
         for gate in BASELINE["gates"]:
             assert gate["kind"] in ("min", "max", "relative")
