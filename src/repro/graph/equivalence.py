@@ -29,8 +29,7 @@ import numpy as np
 
 from repro.graph.fusion import fused_members
 from repro.graph.ir import Graph, Node
-from repro.graph.reference import ReferenceExecutor
-from repro.seeding import derive_rng
+from repro.graph.reference import ReferenceExecutor, seeded_input
 
 #: Comparison tolerances. Default fused semantics replay members exactly,
 #: so any honest fused kernel should match to float64 round-off; the loose
@@ -121,16 +120,6 @@ def _group_views(graph: Graph, fused: Node) -> tuple[Graph, Graph] | None:
     return fused_view, member_view
 
 
-def _seeded_inputs(view: Graph, seed: int) -> dict[str, np.ndarray]:
-    inputs = {}
-    for name in view.inputs:
-        shape = tuple(view.tensor_types[name].shape)
-        rng = derive_rng(seed, "fusion-guard", name)
-        flat = [rng.gauss(0.0, 1.0) for _ in range(int(np.prod(shape)) or 1)]
-        inputs[name] = np.array(flat, dtype=np.float64).reshape(shape)
-    return inputs
-
-
 def check_fused_group(graph: Graph, fused: Node, seed: int = 0) -> GroupCheck:
     """Replay one fused group against its unfused members."""
     members = fused_members(fused)
@@ -145,7 +134,12 @@ def check_fused_group(graph: Graph, fused: Node, seed: int = 0) -> GroupCheck:
             detail="symbolic or missing tensor types",
         )
     fused_view, member_view = views
-    inputs = _seeded_inputs(fused_view, seed)
+    inputs = {
+        name: seeded_input(
+            fused_view.tensor_types[name].shape, seed, "fusion-guard", name
+        )
+        for name in fused_view.inputs
+    }
     weight_cache: dict[str, np.ndarray] = {}
     fused_out = ReferenceExecutor(
         fused_view, seed=seed, weight_cache=weight_cache, flatten_fused=False

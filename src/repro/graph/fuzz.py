@@ -44,7 +44,7 @@ from repro.graph.builder import GraphBuilder
 from repro.graph.ir import Graph, GraphError, GraphValidationError
 from repro.graph.onnx_like import export_graph, import_graph
 from repro.graph.passes import optimize
-from repro.graph.reference import ReferenceExecutor
+from repro.graph.reference import ReferenceExecutor, seeded_input
 from repro.seeding import derive_rng
 
 #: Exception classes the invariant accepts as "typed rejection".
@@ -277,16 +277,6 @@ def mutate_graph(
 # ---------------------------------------------------------------------------
 
 
-def _seeded_inputs(graph: Graph, seed: int, index: int) -> dict[str, np.ndarray]:
-    inputs = {}
-    for name in graph.inputs:
-        shape = tuple(graph.tensor_types[name].shape)
-        rng = derive_rng(seed, "inputs", index, name)
-        flat = [rng.gauss(0.0, 1.0) for _ in range(int(np.prod(shape)) or 1)]
-        inputs[name] = np.array(flat, dtype=np.float64).reshape(shape)
-    return inputs
-
-
 def check_valid_graph(graph: Graph, seed: int, index: int) -> str | None:
     """Run the valid-graph side of the invariant; returns a violation
     description or None."""
@@ -308,7 +298,12 @@ def check_valid_graph(graph: Graph, seed: int, index: int) -> str | None:
     if roundtrip.structural_hash() != graph.structural_hash():
         return "round trip changed structural_hash"
 
-    inputs = _seeded_inputs(graph, seed, index)
+    inputs = {
+        name: seeded_input(
+            graph.tensor_types[name].shape, seed, "inputs", index, name
+        )
+        for name in graph.inputs
+    }
     try:
         baseline = ReferenceExecutor(graph, seed=seed).run(**inputs)
         optimized, _report = optimize(graph.bind({}), fusion=True)

@@ -27,6 +27,12 @@ import numpy as np
 from repro.engines.sfu import SpecialFunctionUnit
 from repro.graph.fusion import fused_members
 from repro.graph.ir import Graph, GraphError, Node
+from repro.seeding import derive_seed
+
+#: Most bytes of im2col columns :meth:`ReferenceExecutor._op_conv2d` holds
+#: at once. A conv whose whole window matrix is larger multiplies it in
+#: blocks of output rows (a full srresnet layer would need 31 GiB).
+CONV_COLUMN_BUDGET = 64 * 2**20
 
 
 class EvaluationError(GraphError):
@@ -60,28 +66,18 @@ def materialize_weight(name: str, shape: tuple[int, ...], seed: int = 0) -> np.n
     return rng.normal(scale=scale, size=shape)
 
 
-def _im2col(data: np.ndarray, k_h: int, k_w: int, stride: int,
-            pad_h: int, pad_w: int) -> tuple[np.ndarray, int, int]:
-    batch, channels, height, width = data.shape
-    padded = np.pad(data, ((0, 0), (0, 0), (pad_h, pad_h), (pad_w, pad_w)))
-    out_h = (height + 2 * pad_h - k_h) // stride + 1
-    out_w = (width + 2 * pad_w - k_w) // stride + 1
-    strides = padded.strides
-    windows = np.lib.stride_tricks.as_strided(
-        padded,
-        shape=(batch, channels, out_h, out_w, k_h, k_w),
-        strides=(
-            strides[0], strides[1],
-            strides[2] * stride, strides[3] * stride,
-            strides[2], strides[3],
-        ),
-        writeable=False,
-    )
-    # -> (batch, out_h, out_w, channels * k_h * k_w)
-    columns = windows.transpose(0, 2, 3, 1, 4, 5).reshape(
-        batch, out_h, out_w, channels * k_h * k_w
-    )
-    return columns, out_h, out_w
+def seeded_input(
+    shape: tuple[int, ...], root: int | str, *labels: object
+) -> np.ndarray:
+    """Standard-normal input tensor drawn from one labelled seed stream.
+
+    One NumPy generator per ``(root, labels...)`` stream (seeded through
+    :func:`~repro.seeding.derive_seed`), one vectorized draw: the same
+    stream always yields the same tensor, and a float64 ndarray even for
+    shape ``()``.
+    """
+    rng = np.random.default_rng(derive_seed(root, *labels))
+    return np.asarray(rng.standard_normal(tuple(shape)), dtype=np.float64)
 
 
 class ReferenceExecutor:
@@ -229,6 +225,15 @@ class ReferenceExecutor:
     # convolution family ------------------------------------------------------
 
     def _op_conv2d(self, node: Node, operands):
+        """Grouped 2-D convolution as im2col matmuls over output-row blocks.
+
+        The window matrix is a strided view of the padded input; only
+        ``CONV_COLUMN_BUDGET`` bytes of it are copied into columns at a
+        time, and each block's product lands in a result preallocated in
+        ``(batch, out_h, out_w, out_c)`` layout. Every block is the same
+        per-row matmul a whole-matrix im2col would make, so results do not
+        depend on the budget.
+        """
         data, weight = operands[0], operands[1]
         bias = operands[2] if len(operands) > 2 else None
         groups = node.attr("groups", 1)
@@ -237,18 +242,36 @@ class ReferenceExecutor:
         pad_h = node.attr("pad_h", pad)
         pad_w = node.attr("pad_w", pad)
         out_c, in_per_group, k_h, k_w = weight.shape
-        batch, in_c, _h, _w = data.shape
-        outputs = []
+        batch = data.shape[0]
+        padded = np.pad(data, ((0, 0), (0, 0), (pad_h, pad_h), (pad_w, pad_w)))
+        out_h = (padded.shape[2] - k_h) // stride + 1
+        out_w = (padded.shape[3] - k_w) // stride + 1
+        s_batch, s_chan, s_row, s_col = padded.strides
+        windows = np.lib.stride_tricks.as_strided(
+            padded,
+            shape=(batch, out_h, out_w, padded.shape[1], k_h, k_w),
+            strides=(s_batch, s_row * stride, s_col * stride,
+                     s_chan, s_row, s_col),
+            writeable=False,
+        )
+        out = np.empty((batch, out_h, out_w, out_c))
         out_per_group = out_c // groups
+        depth = in_per_group * k_h * k_w
+        row_bytes = batch * out_w * depth * out.itemsize
+        rows = max(1, CONV_COLUMN_BUDGET // max(row_bytes, 1))
         for group in range(groups):
-            data_slice = data[:, group * in_per_group:(group + 1) * in_per_group]
-            weight_slice = weight[group * out_per_group:(group + 1) * out_per_group]
-            columns, out_h, out_w = _im2col(data_slice, k_h, k_w, stride, pad_h, pad_w)
-            flat_weight = weight_slice.reshape(out_per_group, -1)
-            # weight layout must match im2col's (channels, kh, kw) order
-            result = columns @ flat_weight.T
-            outputs.append(result.transpose(0, 3, 1, 2))
-        out = np.concatenate(outputs, axis=1)
+            channels = slice(group * in_per_group, (group + 1) * in_per_group)
+            outs = slice(group * out_per_group, (group + 1) * out_per_group)
+            # weight layout must match the columns' (channels, kh, kw) order
+            flat_weight = weight[outs].reshape(out_per_group, depth).T
+            for top in range(0, out_h, rows):
+                window = windows[:, top:top + rows, :, channels]
+                # the reshape copies this block's columns; as a temporary
+                # they are freed before the next block's are made
+                out[:, top:top + rows, :, outs] = (
+                    window.reshape(batch, -1, out_w, depth) @ flat_weight
+                )
+        out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
         if bias is not None:
             out = out + bias.reshape(1, -1, 1, 1)
         return out

@@ -1,10 +1,20 @@
 """Tests for the numpy reference executor (the §VI-A CPU oracle)."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.graph import reference
 from repro.graph.builder import GraphBuilder
-from repro.graph.reference import EvaluationError, ReferenceExecutor, materialize_weight
+from repro.graph.ir import Graph, Node
+from repro.graph.reference import (
+    EvaluationError,
+    ReferenceExecutor,
+    materialize_weight,
+    seeded_input,
+)
 
 
 def _run_single(op_builder, input_shape, data=None, seed=0):
@@ -40,6 +50,131 @@ class TestWeights:
         executor.set_weight("fc.w", np.eye(4))
         data = np.arange(4.0).reshape(1, 4)
         assert np.allclose(executor.run(x=data)[y], data)
+
+
+class TestSeededInput:
+    def test_deterministic_per_stream(self):
+        a = seeded_input((2, 3, 4), 0, "fusion-guard", "x")
+        b = seeded_input((2, 3, 4), 0, "fusion-guard", "x")
+        assert a.shape == (2, 3, 4)
+        assert np.array_equal(a, b)
+
+    def test_streams_differ_by_tensor_and_seed(self):
+        base = seeded_input((16,), 0, "fusion-guard", "x")
+        assert not np.array_equal(base, seeded_input((16,), 0, "fusion-guard", "y"))
+        assert not np.array_equal(base, seeded_input((16,), 1, "fusion-guard", "x"))
+        assert not np.array_equal(base, seeded_input((16,), 0, "inputs", 0, "x"))
+
+    def test_scalar_shape_is_float64_ndarray(self):
+        value = seeded_input((), 0, "fusion-guard", "s")
+        assert isinstance(value, np.ndarray)
+        assert value.shape == () and value.dtype == np.float64
+
+
+def _im2col_conv2d(data, weight, bias, groups, stride, pad_h, pad_w):
+    """The whole-window-matrix conv the blocked one replaced: the oracle."""
+    out_c, in_per_group, k_h, k_w = weight.shape
+    out_per_group = out_c // groups
+    outputs = []
+    for group in range(groups):
+        part = data[:, group * in_per_group:(group + 1) * in_per_group]
+        padded = np.pad(part, ((0, 0), (0, 0), (pad_h, pad_h), (pad_w, pad_w)))
+        batch, channels, height, width = padded.shape
+        out_h = (height - k_h) // stride + 1
+        out_w = (width - k_w) // stride + 1
+        strides = padded.strides
+        windows = np.lib.stride_tricks.as_strided(
+            padded,
+            shape=(batch, channels, out_h, out_w, k_h, k_w),
+            strides=(strides[0], strides[1], strides[2] * stride,
+                     strides[3] * stride, strides[2], strides[3]),
+        )
+        columns = windows.transpose(0, 2, 3, 1, 4, 5).reshape(
+            batch, out_h, out_w, channels * k_h * k_w
+        )
+        flat = weight[group * out_per_group:(group + 1) * out_per_group]
+        result = columns @ flat.reshape(out_per_group, -1).T
+        outputs.append(result.transpose(0, 3, 1, 2))
+    out = np.concatenate(outputs, axis=1)
+    if bias is not None:
+        out = out + bias.reshape(1, -1, 1, 1)
+    return out
+
+
+def _conv(op_type, operands, **attrs):
+    executor = ReferenceExecutor(Graph("conv"))
+    node = Node("c", op_type, ["x", "w", "b"][:len(operands)], ["y"], attrs)
+    return getattr(executor, f"_op_{op_type}")(node, operands)
+
+
+class TestBlockedConv:
+    """The row-blocked conv against the whole-matrix im2col oracle."""
+
+    @pytest.fixture(params=[reference.CONV_COLUMN_BUDGET, 4096, 1])
+    def budget(self, request, monkeypatch):
+        # 4096 and 1 byte force several blocks (down to one row each)
+        monkeypatch.setattr(reference, "CONV_COLUMN_BUDGET", request.param)
+        return request.param
+
+    def test_conv2d_matches_im2col(self, budget):
+        rng = np.random.default_rng(0)
+        grid = itertools.product(
+            (1, 2), (1, 2, 3), (1, 2), (0, 1, 2), (1, 3, 5), (6, 11)
+        )
+        checked = 0
+        for batch, groups, stride, pad, kernel, size in grid:
+            if size + 2 * pad < kernel:
+                continue
+            data = rng.standard_normal((batch, 2 * groups, size, size + 1))
+            weight = rng.standard_normal((3 * groups, 2, kernel, kernel))
+            bias = rng.standard_normal(3 * groups) if batch == 1 else None
+            operands = [data, weight] + ([bias] if bias is not None else [])
+            got = _conv("conv2d", operands, groups=groups, stride=stride, pad=pad)
+            want = _im2col_conv2d(data, weight, bias, groups, stride, pad, pad)
+            assert np.array_equal(got, want), (batch, groups, stride, pad, kernel)
+            checked += 1
+        assert checked > 100
+
+    def test_depthwise_conv2d_matches_im2col(self, budget):
+        rng = np.random.default_rng(1)
+        data = rng.standard_normal((1, 8, 9, 9))
+        weight = rng.standard_normal((8, 1, 3, 3))
+        got = _conv("conv2d", [data, weight], groups=8, stride=2, pad=1)
+        assert np.array_equal(got, _im2col_conv2d(data, weight, None, 8, 2, 1, 1))
+
+    def test_conv1d_matches_im2col(self, budget):
+        rng = np.random.default_rng(2)
+        for in_c, out_c, weight_in, stride, pad in [
+            (4, 6, 4, 1, 1), (4, 6, 4, 2, 0), (5, 5, 1, 1, 2), (5, 5, 1, 2, 1),
+        ]:
+            data = rng.standard_normal((2, in_c, 17))
+            weight = rng.standard_normal((out_c, weight_in, 5))
+            bias = rng.standard_normal(out_c)
+            got = _conv("conv1d", [data, weight, bias], stride=stride, pad=pad)
+            groups = in_c if weight_in == 1 else 1
+            want = _im2col_conv2d(
+                data[:, :, None, :], weight[:, :, None, :], bias, groups,
+                stride, 0, pad,
+            )[:, :, 0, :]
+            assert np.array_equal(got, want), (in_c, out_c, weight_in, stride)
+
+    def test_columns_stay_under_budget(self):
+        # full im2col would be 96*96 rows x 32*9*9 columns of float64,
+        # about 190 MB; the blocked conv holds at most the budget of them
+        rng = np.random.default_rng(3)
+        data = rng.standard_normal((1, 32, 96, 96))
+        weight = rng.standard_normal((4, 32, 9, 9))
+        full_columns = 96 * 96 * 32 * 9 * 9 * 8
+        assert full_columns > 2.5 * reference.CONV_COLUMN_BUDGET
+        tracemalloc.start()
+        try:
+            out = _conv("conv2d", [data, weight], pad=4)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (1, 4, 96, 96)
+        assert peak < reference.CONV_COLUMN_BUDGET + 16 * 2**20
+        assert peak < full_columns / 2
 
 
 class TestConvSemantics:

@@ -76,43 +76,47 @@ class TestRegressionGates:
         report["run"]["quick"] = quick
         return report
 
+    def _failures(self, report, baseline):
+        failures, _skipped = bench.check_regressions(report, baseline)
+        return failures
+
     def test_min_floor(self):
         baseline = {"gates": [
             {"benchmark": "b", "metric": "speedup", "kind": "min", "value": 20.0}
         ]}
         ok = self._single("b", {"speedup": 25.0})
         bad = self._single("b", {"speedup": 12.0})
-        assert bench.check_regressions(ok, baseline) == []
-        assert bench.check_regressions(bad, baseline)
+        assert self._failures(ok, baseline) == []
+        assert self._failures(bad, baseline)
 
     def test_max_ceiling(self):
         baseline = {"gates": [
             {"benchmark": "b", "metric": "reruns", "kind": "max", "value": 0.0}
         ]}
-        assert bench.check_regressions(self._single("b", {"reruns": 0.0}), baseline) == []
-        assert bench.check_regressions(self._single("b", {"reruns": 1.0}), baseline)
+        assert self._failures(self._single("b", {"reruns": 0.0}), baseline) == []
+        assert self._failures(self._single("b", {"reruns": 1.0}), baseline)
 
     def test_relative_lower_is_better(self):
         baseline = {"gates": [{
             "benchmark": "b", "metric": "latency", "kind": "relative",
             "value": 10.0, "tolerance": 0.2, "higher_is_better": False,
         }]}
-        assert bench.check_regressions(self._single("b", {"latency": 11.9}), baseline) == []
-        assert bench.check_regressions(self._single("b", {"latency": 12.1}), baseline)
+        assert self._failures(self._single("b", {"latency": 11.9}), baseline) == []
+        assert self._failures(self._single("b", {"latency": 12.1}), baseline)
 
     def test_relative_higher_is_better(self):
         baseline = {"gates": [{
             "benchmark": "b", "metric": "rate", "kind": "relative",
             "value": 1.0, "tolerance": 0.2, "higher_is_better": True,
         }]}
-        assert bench.check_regressions(self._single("b", {"rate": 0.85}), baseline) == []
-        assert bench.check_regressions(self._single("b", {"rate": 0.7}), baseline)
+        assert self._failures(self._single("b", {"rate": 0.85}), baseline) == []
+        assert self._failures(self._single("b", {"rate": 0.7}), baseline)
 
     def test_missing_metric_fails(self):
         baseline = {"gates": [
             {"benchmark": "b", "metric": "gone", "kind": "min", "value": 1.0}
         ]}
-        assert bench.check_regressions(self._single("b", {}), baseline)
+        assert self._failures(self._single("b", {}), baseline)
 
     def test_quick_only_gate_skipped_on_full_runs(self):
         baseline = {"gates": [{
@@ -121,8 +125,22 @@ class TestRegressionGates:
         }]}
         full = self._single("b", {"p99": 100.0}, quick=False)
         quick = self._single("b", {"p99": 100.0}, quick=True)
-        assert bench.check_regressions(full, baseline) == []
-        assert bench.check_regressions(quick, baseline)
+        assert bench.check_regressions(full, baseline) == ([], 1)
+        assert self._failures(quick, baseline)
+
+    def test_full_only_gate_skipped_and_counted_on_quick_runs(self):
+        baseline = {"gates": [
+            {"benchmark": "b", "metric": "speedup", "kind": "min",
+             "value": 1.3, "full_only": True},
+            {"benchmark": "b", "metric": "identical", "kind": "min",
+             "value": 1.0},
+        ]}
+        quick = self._single("b", {"identical": 1.0}, quick=True)
+        full = self._single("b", {"identical": 1.0}, quick=False)
+        assert bench.check_regressions(quick, baseline) == ([], 1)
+        failures, skipped = bench.check_regressions(full, baseline)
+        assert skipped == 0
+        assert failures == ["b:speedup: missing from report"]
 
     def test_min_cpus_gate_skipped_on_small_hosts(self, capsys):
         baseline = {"gates": [{
@@ -131,9 +149,9 @@ class TestRegressionGates:
         }]}
         one_cpu = self._single("b", {"speedup": 1.0, "cpus": 1.0})
         two_cpus = self._single("b", {"speedup": 1.0, "cpus": 2.0})
-        assert bench.check_regressions(one_cpu, baseline) == []
+        assert bench.check_regressions(one_cpu, baseline) == ([], 1)
         assert "SKIP b:speedup" in capsys.readouterr().out
-        assert bench.check_regressions(two_cpus, baseline)
+        assert self._failures(two_cpus, baseline)
 
     def test_committed_baseline_gates_are_well_formed(self):
         for gate in BASELINE["gates"]:
@@ -154,12 +172,19 @@ class TestOutputs:
             _report([result]), SCHEMA
         ) == [], "bench_gemm emits off-schema metrics"
 
-    def test_main_quick_writes_valid_report(self, tmp_path):
+    def test_main_quick_writes_valid_report(self, tmp_path, capsys):
         output = tmp_path / "BENCH_1.json"
         code = bench.main(
             ["--quick", "-o", str(output), "--check", str(bench.BASELINE_PATH)]
         )
         assert code == 0
+        # full_only gates never run on --quick and are not counted passed
+        full_only = sum(1 for gate in BASELINE["gates"] if gate.get("full_only"))
+        assert full_only
+        summary = capsys.readouterr().out.splitlines()[-1]
+        skipped = int(summary.split(" passed, ")[1].split()[0])
+        assert skipped >= full_only
+        assert int(summary.split()[0]) + skipped == len(BASELINE["gates"])
         report = json.loads(output.read_text())
         assert bench.validate(report, SCHEMA) == []
         names = {b["name"] for b in report["benchmarks"]}

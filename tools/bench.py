@@ -693,8 +693,11 @@ def validate(doc, schema, path: str = "$") -> list[str]:
 # --------------------------------------------------------------------------
 
 
-def check_regressions(report: dict, baseline: dict) -> list[str]:
+def check_regressions(report: dict, baseline: dict) -> tuple[list[str], int]:
     """Compare gated metrics against the committed baseline.
+
+    Returns ``(failures, skipped)``: one message per failed gate, and the
+    number of gates this report could not be held to (see below).
 
     Baseline gate kinds:
 
@@ -715,10 +718,13 @@ def check_regressions(report: dict, baseline: dict) -> list[str]:
     """
     by_name = {bench["name"]: bench["metrics"] for bench in report["benchmarks"]}
     failures: list[str] = []
+    skipped = 0
     for gate in baseline["gates"]:
         if gate.get("quick_only") and not report["run"]["quick"]:
+            skipped += 1
             continue
         if gate.get("full_only") and report["run"]["quick"]:
+            skipped += 1
             continue
         bench, metric = gate["benchmark"], gate["metric"]
         where = f"{bench}:{metric}"
@@ -729,6 +735,7 @@ def check_regressions(report: dict, baseline: dict) -> list[str]:
         if metrics.get("cpus", 0) < gate.get("min_cpus", 0):
             print(f"SKIP {where}: host has {int(metrics.get('cpus', 0))} "
                   f"CPU(s), the gate needs {gate['min_cpus']}")
+            skipped += 1
             continue
         value = metrics[metric]
         kind = gate["kind"]
@@ -757,7 +764,7 @@ def check_regressions(report: dict, baseline: dict) -> list[str]:
                     )
         else:
             failures.append(f"{where}: unknown gate kind {kind!r}")
-    return failures
+    return failures, skipped
 
 
 # --------------------------------------------------------------------------
@@ -860,12 +867,13 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.check is not None:
         baseline = json.loads(args.check.read_text())
-        failures = check_regressions(report, baseline)
+        failures, skipped = check_regressions(report, baseline)
         if failures:
             for failure in failures:
                 print(f"REGRESSION {failure}", file=sys.stderr)
             return 1
-        print(f"all {len(baseline['gates'])} gates passed vs {args.check}")
+        passed = len(baseline["gates"]) - skipped
+        print(f"{passed} passed, {skipped} skipped vs {args.check}")
     return 0
 
 
